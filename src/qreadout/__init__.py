@@ -24,7 +24,7 @@ from .register import (
     observe,
 )
 from .bnmf import FactorModel, FitOptions, fit, select_order
-from .transforms import ProbTable, SpectralState, WindowSpec, cqt, dft, hann_window, icqt, idstft, idstft_unit
+from .transforms import ProbTable, SpectralState, WindowSpec, cqt, dft, hann_window, icqt, idstft
 from .partition import BasisPartition, PartitionTensors, assign, contract, fit_partition, score, transform_bases
 from .recovery import ClusteredBases, RecoveryResult, build_superposition, extract_target, finalize, regroup
 from .snr import EnergySpec, SnrReport, delta, energy, snr_report, sweep_curve
@@ -53,7 +53,6 @@ __all__ = [
     "cqt",
     "icqt",
     "idstft",
-    "idstft_unit",
     "dft",
     "PartitionTensors",
     "BasisPartition",

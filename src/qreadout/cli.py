@@ -137,6 +137,21 @@ def validate(config_path: str | Path) -> list[str]:
     return validate_document(doc)
 
 
+def _is_int(value) -> bool:
+    """JSON integer test; ``true``/``false`` are not integers here."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _check_loop(sec: dict, name: str, diags: list[str]) -> None:
+    """Iteration cap and tolerance of an iterative fit section."""
+    max_iters = sec.get("max_iters", _DEFAULTS[name]["max_iters"])
+    if not _is_int(max_iters) or max_iters < 1:
+        diags.append(f"{name}.max_iters must be an integer >= 1, got {max_iters!r}")
+    tol = sec.get("tol", _DEFAULTS[name]["tol"])
+    if not isinstance(tol, (int, float)) or not tol > 0:
+        diags.append(f"{name}.tol must be > 0, got {tol!r}")
+
+
 def validate_document(doc: dict) -> list[str]:
     diags: list[str] = []
     if not isinstance(doc, dict):
@@ -147,67 +162,75 @@ def validate_document(doc: dict) -> list[str]:
         diags.append(f"stage must be one of {'|'.join(STAGES)}, got {stage!r}")
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
+    if not _is_int(seed) or seed < 0:
         diags.append(f"seed must be a nonnegative integer, got {seed!r}")
+
+    for name in _DEFAULTS:
+        if doc.get(name) is not None and not isinstance(doc[name], dict):
+            diags.append(f"'{name}' must be an object")
 
     reg = doc.get("register")
     if stage in ("simulate", "pipeline") and reg is None:
         diags.append(f"stage {stage!r} requires a 'register' section")
-    if reg is not None:
-        if not isinstance(reg, dict):
-            diags.append("'register' must be an object")
-        else:
-            horizon = reg.get("horizon", _DEFAULTS["register"]["horizon"])
-            dim = reg.get("dim", _DEFAULTS["register"]["dim"])
-            strength = reg.get(
-                "residual_strength", _DEFAULTS["register"]["residual_strength"]
+    if isinstance(reg, dict):
+        horizon = reg.get("horizon", _DEFAULTS["register"]["horizon"])
+        dim = reg.get("dim", _DEFAULTS["register"]["dim"])
+        strength = reg.get(
+            "residual_strength", _DEFAULTS["register"]["residual_strength"]
+        )
+        if not _is_int(horizon) or horizon < 1:
+            diags.append(f"register.horizon must be an integer >= 1, got {horizon!r}")
+        if not _is_int(dim) or dim < 1:
+            diags.append(f"register.dim must be an integer >= 1, got {dim!r}")
+        if not isinstance(strength, (int, float)) or not 0 <= strength <= 1:
+            diags.append(
+                f"register.residual_strength must lie in [0, 1], got {strength!r}"
             )
-            if not isinstance(horizon, int) or horizon < 1:
-                diags.append(f"register.horizon must be an integer >= 1, got {horizon!r}")
-            if not isinstance(dim, int) or dim < 1:
-                diags.append(f"register.dim must be an integer >= 1, got {dim!r}")
-            if not isinstance(strength, (int, float)) or not 0 <= strength <= 1:
-                diags.append(
-                    f"register.residual_strength must lie in [0, 1], got {strength!r}"
-                )
 
     fact = doc.get("factorization")
-    if fact is not None:
-        if not isinstance(fact, dict):
-            diags.append("'factorization' must be an object")
-        else:
-            if "k" in fact and fact["k"] is not None:
-                if not isinstance(fact["k"], int) or fact["k"] < 1:
-                    diags.append(
-                        f"factorization.k must be an integer >= 1, got {fact['k']!r}"
-                    )
-            k_min = fact.get("k_min", _DEFAULTS["factorization"]["k_min"])
-            k_max = fact.get("k_max", _DEFAULTS["factorization"]["k_max"])
-            if not isinstance(k_min, int) or k_min < 1:
-                diags.append(f"factorization.k_min must be an integer >= 1, got {k_min!r}")
-            if not isinstance(k_max, int) or k_max < k_min:
+    if isinstance(fact, dict):
+        if "k" in fact and fact["k"] is not None:
+            if not _is_int(fact["k"]) or fact["k"] < 1:
                 diags.append(
-                    f"factorization.k_max must be an integer >= k_min, got {k_max!r}"
+                    f"factorization.k must be an integer >= 1, got {fact['k']!r}"
                 )
-            max_iters = fact.get("max_iters", 1)
-            if not isinstance(max_iters, int) or max_iters < 1:
-                diags.append(
-                    f"factorization.max_iters must be an integer >= 1, got {max_iters!r}"
-                )
-            tol = fact.get("tol", 1e-6)
-            if not isinstance(tol, (int, float)) or not tol > 0:
-                diags.append(f"factorization.tol must be > 0, got {tol!r}")
+        k_min = fact.get("k_min", _DEFAULTS["factorization"]["k_min"])
+        k_max = fact.get("k_max", _DEFAULTS["factorization"]["k_max"])
+        if not _is_int(k_min) or k_min < 1:
+            diags.append(f"factorization.k_min must be an integer >= 1, got {k_min!r}")
+        if not _is_int(k_max) or (_is_int(k_min) and k_max < k_min):
+            diags.append(
+                f"factorization.k_max must be an integer >= k_min, got {k_max!r}"
+            )
+        _check_loop(fact, "factorization", diags)
+
+    if isinstance(doc.get("partition"), dict):
+        _check_loop(doc["partition"], "partition", diags)
+
+    trans = doc.get("transform")
+    if isinstance(trans, dict):
+        shift = trans.get("shift")
+        if shift is not None and (not _is_int(shift) or shift < 1):
+            diags.append(
+                f"transform.shift must be null or an integer >= 1, got {shift!r}"
+            )
+        k = trans.get("k", _DEFAULTS["transform"]["k"])
+        if not _is_int(k):
+            diags.append(f"transform.k must be an integer, got {k!r}")
+        unit = trans.get("unit_window", _DEFAULTS["transform"]["unit_window"])
+        if not isinstance(unit, bool):
+            diags.append(f"transform.unit_window must be true or false, got {unit!r}")
 
     rec = doc.get("recovery")
-    if rec is not None and isinstance(rec, dict):
+    if isinstance(rec, dict):
         k1 = rec.get("k1")
-        if k1 is not None and (not isinstance(k1, int) or k1 < 1):
+        if k1 is not None and (not _is_int(k1) or k1 < 1):
             diags.append(f"recovery.k1 must be an integer >= 1, got {k1!r}")
 
     sweep = doc.get("sweep")
     if stage == "sweep" and sweep is None:
         diags.append("stage 'sweep' requires a 'sweep' section")
-    if sweep is not None and isinstance(sweep, dict):
+    if isinstance(sweep, dict):
         deltas = sweep.get("deltas", _DEFAULTS["sweep"]["deltas"])
         if not isinstance(deltas, list) or not deltas:
             diags.append("sweep.deltas must be a nonempty list of reals")
@@ -391,7 +414,7 @@ def _stage_recover(
     else:
         w, k_freq = _window_for(cfg, K)
         c_b = part_mod.transform_bases(model, w, k_freq)
-        clustered = recovery.regroup(c_b, part, w, k_freq, activations=model.activations)
+        clustered = recovery.regroup(c_b, part, w, k_freq)
         clustered_path = cfg.output_dir / "clustered_bases.json"
         _write_json(
             {
@@ -399,10 +422,6 @@ def _stage_recover(
                 "composite": [
                     [[float(v.real), float(v.imag)] for v in row]
                     for row in clustered.composite
-                ],
-                "composite_product": [
-                    [[float(v.real), float(v.imag)] for v in row]
-                    for row in clustered.composite_product
                 ],
             },
             clustered_path,

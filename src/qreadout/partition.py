@@ -109,8 +109,7 @@ def transform_bases(model, w: WindowSpec, k: int = 0) -> np.ndarray:
 
     Each row of the basis matrix is treated as a register of K amplitudes
     and modulated by the transform; returns the complex M x K matrix C_B.
-    The partition input S = C_B @ activations is exposed by
-    :func:`partition_input`.
+    The partition input is the magnitude of C_B @ activations.
     """
     if not getattr(model, "iterations", 0):
         raise StateError("transform_bases requires a fitted model")
@@ -121,12 +120,6 @@ def transform_bases(model, w: WindowSpec, k: int = 0) -> np.ndarray:
         )
     rows = [cqt(SpectralState(row), w, k).amplitudes for row in bases]
     return np.vstack(rows)
-
-
-def partition_input(model, w: WindowSpec, k: int = 0) -> np.ndarray:
-    """Magnitude of the transformed basis-activation product C_B @ W."""
-    c_b = transform_bases(model, w, k)
-    return np.abs(c_b @ model.activations)
 
 
 def contract(t: PartitionTensors) -> np.ndarray:

@@ -35,13 +35,11 @@ class ClusteredBases:
 
     ``groups[m]`` holds the M x K_m block of cluster m's bases after the
     inverse constant-Q transform; ``composite`` is the recombined M x K
-    matrix in original basis order, and ``composite_product`` its product
-    with the activations when those were supplied.
+    matrix in original basis order.
     """
 
     groups: tuple
     composite: np.ndarray
-    composite_product: np.ndarray | None = None
 
     @property
     def sizes(self) -> list[int]:
@@ -77,7 +75,6 @@ def regroup(
     part: BasisPartition,
     w: WindowSpec,
     k: int = 0,
-    activations: np.ndarray | None = None,
 ) -> ClusteredBases:
     """Invert the constant-Q transform and split bases by cluster."""
     c_b = np.asarray(c_b, dtype=complex)
@@ -93,16 +90,7 @@ def regroup(
     groups = tuple(
         theta[:, part.members(m)] for m in range(1, part.num_clusters + 1)
     )
-    product = None
-    if activations is not None:
-        activations = np.asarray(activations, dtype=float)
-        if activations.shape[0] != theta.shape[1]:
-            raise DimensionError(
-                f"activations have {activations.shape[0]} rows but there are "
-                f"{theta.shape[1]} bases"
-            )
-        product = theta @ activations
-    return ClusteredBases(groups=groups, composite=theta, composite_product=product)
+    return ClusteredBases(groups=groups, composite=theta)
 
 
 def build_superposition(

@@ -31,7 +31,8 @@ class EnergySpec:
     """Hamiltonian used by the verification oracle.
 
     ``hamiltonian`` may be any Hermitian matrix; ``None`` selects the
-    number operator diag(0..L-1) sized to the state being scored.
+    number operator diag(0..L-1) sized to the state being scored, applied
+    as its diagonal so it costs O(L) rather than a dense L x L matrix.
     """
 
     hamiltonian: np.ndarray | None = None
@@ -45,21 +46,6 @@ class EnergySpec:
             raise DimensionError(f"hamiltonian must be square, got {h.shape}")
         if not np.allclose(h, h.conj().T, atol=_HERMITIAN_TOL):
             raise ValidationError("hamiltonian must be Hermitian within 1e-12")
-
-    def matrix(self, size: int) -> np.ndarray:
-        if self.hamiltonian is None:
-            return np.diag(np.arange(size, dtype=float))
-        if self.hamiltonian.shape[0] != size:
-            raise DimensionError(
-                f"hamiltonian dimension {self.hamiltonian.shape[0]} does not "
-                f"match state length {size}"
-            )
-        return self.hamiltonian
-
-
-def number_operator(size: int, start: int = 0) -> np.ndarray:
-    """Diagonal level Hamiltonian diag(start .. start + size - 1)."""
-    return np.diag(np.arange(start, start + size, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -117,12 +103,20 @@ def energy(state, spec: EnergySpec | None = None) -> float:
     matrix guarantees up to rounding.
     """
     amps = _amplitudes(state)
-    spec = spec or EnergySpec()
-    h = spec.matrix(amps.shape[0])
+    h = (spec or EnergySpec()).hamiltonian
+    if h is None:
+        h_amps = np.arange(amps.shape[0]) * amps
+    elif h.shape[0] != amps.shape[0]:
+        raise DimensionError(
+            f"hamiltonian dimension {h.shape[0]} does not match state "
+            f"length {amps.shape[0]}"
+        )
+    else:
+        h_amps = h @ amps
     norm_sq = float(np.real(np.vdot(amps, amps)))
     if norm_sq == 0.0:
         raise NumericalDomainError("cannot score a zero-norm state")
-    value = complex(np.vdot(amps, h @ amps)) / norm_sq
+    value = complex(np.vdot(amps, h_amps)) / norm_sq
     scale = max(abs(value), 1.0)
     if abs(value.imag) > 1e-12 * scale:
         raise NumericalDomainError(

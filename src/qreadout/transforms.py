@@ -1,10 +1,10 @@
 """Windowed spectral transforms on complex amplitude vectors.
 
-Four stages share this module: the constant-Q transform and its inverse
+Three stages share this module: the constant-Q transform and its inverse
 (diagonal phase/window modulations used around the basis-partitioning
 step), the inverse windowed short-time transform (a dense K x K matrix
-application), its unit-window restriction used for the target-recovery
-concentration step, and the plain unitary DFT.
+application; :mod:`qreadout.recovery` applies it with a unit window for
+the target-recovery concentration step), and the plain unitary DFT.
 
 All transforms are dense O(K^2) applications; there is no fast path and
 none is needed at the scales this package targets (K <= 1024).
@@ -258,65 +258,3 @@ def superposition(K: int, k1: int, offsets_per_cluster: list[np.ndarray]) -> Spe
             amps[idx] += alpha
     return SpectralState(amps, "raw")
 
-
-def idstft_unit(
-    k1: int,
-    cluster_sizes: list[int],
-    K: int,
-    offsets: np.ndarray | None = None,
-) -> tuple[SpectralState, ProbTable]:
-    """Unit-window inverse short-time transform of the cluster superposition.
-
-    Builds the anchored superposition (coherent duplicates for the first
-    cluster, ``offsets`` or canonical distinct offsets for the rest),
-    applies the unit-window transform literally, and returns the
-    measurement table: the first cluster's coherent mass lands on position
-    j = K/k1 with probability (K1/K)^2, the residual clusters' cross terms
-    carry no table mass (their phase sums over a full register period
-    vanish) and are reported as ``residual_mass`` instead.
-    """
-    if K < 1:
-        raise ValidationError(f"register size must be >= 1, got {K}")
-    if sum(cluster_sizes) != K:
-        raise DimensionError(
-            f"cluster sizes {cluster_sizes} must sum to register size {K}"
-        )
-    if len(cluster_sizes) == 0 or cluster_sizes[0] < 1:
-        raise ValidationError("the target cluster must be nonempty")
-    if k1 < 1 or K % k1 != 0:
-        raise ValidationError(
-            f"k1={k1} must divide the register size K={K} for the "
-            "measurement position K/k1 to sit on the register grid"
-        )
-
-    K1 = cluster_sizes[0]
-    K2 = K - K1
-    if offsets is None:
-        offsets = synthesize_offsets(K, K1)
-    offsets = np.asarray(offsets, dtype=int)
-    if offsets.shape != (K2,):
-        raise DimensionError(
-            f"expected {K2} residual offsets, got {offsets.shape[0]}"
-        )
-
-    per_cluster = [np.zeros(K1, dtype=int)]
-    start = 0
-    for size in cluster_sizes[1:]:
-        per_cluster.append(offsets[start : start + size])
-        start += size
-
-    state_in = superposition(K, k1, per_cluster)
-    spec = WindowSpec(shift=0, size=K, unit_window=True)
-    state_out = idstft(state_in, spec)
-
-    anchor = k1 % K
-    peak = (K // k1) % K
-    probs = np.zeros(K)
-    # coherent anchor amplitude K1/sqrt(K); Born mass |.|^2 / K at the peak
-    probs[peak] = float(np.abs(state_in.amplitudes[anchor]) ** 2) / K
-    residual = float(
-        np.sum(np.abs(state_in.amplitudes) ** 2)
-        - np.abs(state_in.amplitudes[anchor]) ** 2
-    ) / K
-    table = ProbTable(probabilities=probs, peak_index=peak, residual_mass=residual)
-    return state_out, table

@@ -5,7 +5,7 @@ lines.  Criterion 7's K_true=3 sub-case is a strict expected failure: with
 two observation channels a three-basis planted model is exactly
 representable with two bases (the nonnegative rank of a 2-row nonnegative
 matrix never exceeds 2), so a correct bound-maximizing selector prefers
-K=2; see the project notes for the full analysis.
+K=2; the README paragraph under "Install and test" gives the argument.
 """
 
 import json
@@ -34,7 +34,9 @@ def test_criterion_1_probability_concentration():
     for K in (4, 8, 16, 32, 64):
         for K1 in divisors(K):
             for k1 in divisors(K):
-                _, table = tr.idstft_unit(k1, [K1, K - K1], K)
+                part = pm.BasisPartition(np.repeat([1, 2], [K1, K - K1]))
+                state = recovery.build_superposition(part, k1)
+                _, table = recovery.extract_target(state, k1, K)
                 peak = (K // k1) % K
                 assert table.peak_index == peak
                 assert abs(table.probabilities[peak] - (K1 / K) ** 2) <= 1e-12
@@ -182,7 +184,7 @@ def test_criterion_7_order_selection(k_true):
         "observation channels has nonnegative rank <= 2, so the K=2 model "
         "reproduces it exactly and the bound's parsimony pressure always "
         "selects K*=2 (verified even under oracle initialization at the "
-        "planted factors); see notes/decisions.md"
+        "planted factors); see the README paragraph under 'Install and test'"
     ),
 )
 def test_criterion_7_order_selection_rank3():

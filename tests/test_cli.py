@@ -132,7 +132,64 @@ class TestDeterminism:
             assert first[name] == second[name], f"{name} differs between reruns"
 
 
+# (section, key, value): one malformed entry per case; None as the key
+# replaces the whole section
+BAD_ENTRIES = [
+    ("partition", "max_iters", "x"),
+    ("partition", "max_iters", 0),
+    ("partition", "max_iters", 2.5),
+    ("partition", "max_iters", True),
+    ("partition", "tol", 0),
+    ("partition", "tol", -1e-7),
+    ("partition", "tol", "x"),
+    ("partition", None, 5),
+    ("transform", "shift", 0),
+    ("transform", "shift", -3),
+    ("transform", "shift", "x"),
+    ("transform", "shift", True),
+    ("transform", "k", "x"),
+    ("transform", "k", 1.5),
+    ("transform", "k", False),
+    ("transform", "unit_window", 1),
+    ("transform", "unit_window", "yes"),
+    ("transform", None, [1]),
+    ("recovery", None, "x"),
+    ("sweep", None, 3),
+    ("register", "horizon", True),
+    ("factorization", "k", True),
+    ("factorization", "k_min", "x"),
+    ("factorization", "k_max", True),
+    ("factorization", "max_iters", True),
+    ("recovery", "k1", True),
+    (None, "seed", True),
+]
+
+
 class TestMain:
+    @pytest.mark.parametrize(
+        "section,key,value",
+        BAD_ENTRIES,
+        ids=[
+            ".".join(part for part in (s, k) if part) + f"={v!r}"
+            for s, k, v in BAD_ENTRIES
+        ],
+    )
+    def test_bad_value_exits_2_before_any_stage(
+        self, tmp_path, capsys, section, key, value
+    ):
+        doc = config_doc(tmp_path)
+        if section is None:
+            doc[key] = value
+        elif key is None:
+            doc[section] = value
+        else:
+            doc.setdefault(section, {})[key] = value
+        path = write_config(tmp_path, doc)
+        assert cli.main(["pipeline", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert not (tmp_path / "out").exists()
+
     def test_validate_subcommand_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, config_doc(tmp_path))
         assert cli.main(["validate", str(good)]) == 0

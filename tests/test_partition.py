@@ -262,14 +262,3 @@ class TestSerialization:
         assert lines[0] == "k,q1,q2,q_total"
         assert len(lines) == 1 + t.num_bases
 
-
-class TestPartitionInput:
-    def test_magnitude_of_transformed_product(self):
-        cfg = register.RegisterConfig(horizon=64, dim=16, residual_strength=0.3, seed=4)
-        obs = register.observe(register.generate_input(cfg), cfg)
-        model = bnmf.fit(obs.values, 2, bnmf.FitOptions(max_iters=60, tol=1e-6, seed=4))
-        w = WindowSpec(shift=model.K, size=model.K, unit_window=True)
-        S = pm.partition_input(model, w, 0)
-        expected = np.abs(pm.transform_bases(model, w, 0) @ model.activations)
-        np.testing.assert_allclose(S, expected, atol=1e-14)
-        assert np.all(S >= 0)

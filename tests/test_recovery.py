@@ -34,14 +34,6 @@ class TestRegroup:
             clustered.composite, model.bases / K, atol=1e-14
         )
 
-    def test_composite_product_shape(self):
-        model = fitted_model(seed=2)
-        part = pm.BasisPartition(assignment=np.array([1, 2]))
-        w = WindowSpec(shift=model.K, size=model.K, unit_window=True)
-        c_b = pm.transform_bases(model, w, 0)
-        clustered = rc.regroup(c_b, part, w, 0, activations=model.activations)
-        assert clustered.composite_product.shape == model.shape
-
     def test_planted_separation_subspace_angle(self):
         # the target group must span the planted target basis direction
         model = fitted_model(seed=3)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -66,9 +68,25 @@ class TestEnergy:
         with pytest.raises(DimensionError):
             snr.energy(np.ones(4, dtype=complex), spec)
 
-    def test_number_operator_offset(self):
-        h = snr.number_operator(4, start=1)
-        np.testing.assert_allclose(np.diag(h), [1, 2, 3, 4])
+    def test_default_equals_dense_diagonal(self):
+        rng = np.random.default_rng(5)
+        for L in (1, 2, 7, 64, 513, 2048):
+            dense = snr.EnergySpec(hamiltonian=np.diag(np.arange(L)))
+            for _ in range(5):
+                v = rng.normal(size=L) + 1j * rng.normal(size=L)
+                assert snr.energy(v) == snr.energy(v, dense)
+
+    def test_default_memory_is_linear(self):
+        L = 4096
+        rng = np.random.default_rng(6)
+        v = rng.normal(size=L) + 1j * rng.normal(size=L)
+        tracemalloc.start()
+        try:
+            snr.energy(v)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * L * 16
 
 
 class TestDelta:

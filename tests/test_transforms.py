@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from qreadout import recovery as rc
 from qreadout import transforms as tr
 from qreadout.errors import DimensionError, ValidationError
+from qreadout.partition import BasisPartition
 
 
 def unit_spec(K, shift=None):
@@ -11,6 +13,14 @@ def unit_spec(K, shift=None):
 
 def hann_spec(K, shift):
     return tr.WindowSpec(shift=shift, size=K, unit_window=False)
+
+
+def concentrate(k1, cluster_sizes, K):
+    """Superpose clusters of the given sizes (target first) and concentrate."""
+    assignment = np.repeat(np.arange(1, len(cluster_sizes) + 1), cluster_sizes)
+    part = BasisPartition(assignment, num_clusters=len(cluster_sizes))
+    state = rc.build_superposition(part, k1)
+    return rc.extract_target(state, k1, K)
 
 
 class TestHannWindow:
@@ -171,22 +181,24 @@ class TestSuperposition:
 
 
 class TestIdstftUnit:
+    """Unit-window inverse short-time concentration of the superposition."""
+
     def test_single_cluster_full_mass(self):
         for K, k1 in ((4, 2), (8, 4), (16, 16)):
-            _, table = tr.idstft_unit(k1, [K], K)
+            _, table = concentrate(k1, [K], K)
             assert table.peak_probability() == pytest.approx(1.0, abs=1e-15)
             assert table.residual_mass == pytest.approx(0.0, abs=1e-15)
 
     def test_paper_ratio_k8(self):
         # concentration mass K1^2/K^2 = 16/64
-        _, table = tr.idstft_unit(2, [4, 4], 8)
+        _, table = concentrate(2, [4, 4], 8)
         assert table.peak_probability() == pytest.approx(0.25, abs=1e-15)
         assert table.peak_index == 4
 
     def test_brute_force_phase_sums(self):
         # K=4, K1=2: literal translation-rule phases reproduce the table
         K, K1, k1 = 4, 2, 2
-        state, table = tr.idstft_unit(k1, [K1, K - K1], K)
+        state, table = concentrate(k1, [K1, K - K1], K)
         alpha = 1 / np.sqrt(K)
         j_star = K // k1
         coherent = sum(
@@ -206,7 +218,7 @@ class TestIdstftUnit:
 
     def test_transformed_state_is_literal(self):
         K, K1 = 8, 4
-        state, _ = tr.idstft_unit(2, [K1, K - K1], K)
+        state, _ = concentrate(2, [K1, K - K1], K)
         spec = tr.WindowSpec(0, K, unit_window=True)
         v = tr.superposition(K, 2, [np.zeros(K1, int), tr.synthesize_offsets(K, K1)])
         expected = tr.idstft(v, spec).amplitudes
@@ -214,24 +226,24 @@ class TestIdstftUnit:
 
     def test_three_clusters_supported(self):
         # residual offsets split across two non-target clusters
-        state, table = tr.idstft_unit(2, [2, 1, 1], 4)
+        state, table = concentrate(2, [2, 1, 1], 4)
         assert table.peak_probability() == pytest.approx((2 / 4) ** 2, abs=1e-15)
         assert table.residual_mass == pytest.approx(2 / 16, abs=1e-15)
         assert np.count_nonzero(state.amplitudes) > 0
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValidationError, match="divide"):
-            tr.idstft_unit(3, [4, 4], 8)
+            concentrate(3, [4, 4], 8)
 
     def test_cluster_sizes_must_sum(self):
         with pytest.raises(DimensionError):
-            tr.idstft_unit(2, [4, 2], 8)
+            concentrate(2, [4, 2], 8)
 
     def test_concentration_across_divisors(self):
         for K in (4, 8, 16, 32, 64):
             for K1 in [d for d in range(1, K + 1) if K % d == 0]:
                 for k1 in [d for d in range(1, K + 1) if K % d == 0]:
-                    _, table = tr.idstft_unit(k1, [K1, K - K1], K)
+                    _, table = concentrate(k1, [K1, K - K1], K)
                     assert table.peak_probability() == pytest.approx(
                         (K1 / K) ** 2, abs=1e-12
                     )
@@ -252,7 +264,7 @@ class TestIdstftUnit:
 
 class TestProbTable:
     def test_csv(self, tmp_path):
-        _, table = tr.idstft_unit(2, [2, 2], 4)
+        _, table = concentrate(2, [2, 2], 4)
         path = tmp_path / "table.csv"
         table.to_csv(path)
         lines = path.read_text().strip().splitlines()
