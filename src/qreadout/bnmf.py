@@ -5,8 +5,8 @@ K x T activation matrix.  Every basis entry u_mk carries an exponential
 prior with rate ``alpha_mk`` and every activation entry w_kt one with rate
 ``beta_kt``; the posterior over each entry is a Gamma whose shape/scale are
 updated in closed form, the per-observation allocation over bases is a
-multinomial with parameter eta, and the prior rates themselves are
-re-estimated every sweep from the positive root of a quadratic.  Model
+multinomial with parameter eta, and closed-form estimates of the prior
+rates come from the positive root of a quadratic once the fit ends.  Model
 order is chosen by maximizing the variational lower bound over K.
 
 All updates are deterministic given the seed; a fit never mutates its
@@ -15,8 +15,10 @@ input model, it returns a fresh one.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -50,8 +52,8 @@ class FactorModel:
     reconstruction ``bases @ activations``); ``log_bases`` and
     ``log_activations`` are the corresponding posterior means of the logs.
     ``eta`` holds the per-(m, t) multinomial allocation over the K bases.
-    ``ctrl_alpha`` / ``ctrl_beta`` are the running closed-form estimates of
-    the exponential prior rates; the rates themselves stay fixed at
+    ``ctrl_alpha`` / ``ctrl_beta`` are the closed-form estimates of the
+    exponential prior rates at this state; the rates themselves stay fixed at
     ``prior_rate_u`` / ``prior_rate_w`` so every sweep is an exact
     coordinate-ascent move on the bound.
     """
@@ -208,14 +210,28 @@ def update_eta(model: FactorModel, X) -> FactorModel:
     eta_mkt is the softmax over k of E(log u_mk) + E(log w_kt), evaluated
     in log space with max subtraction so a common shift leaves it unchanged.
     """
-    logits = model.log_bases[:, :, None] + model.log_activations[None, :, :]
-    if not np.all(np.isfinite(logits)):
+    return replace(model, eta=_eta(model.log_bases, model.log_activations))
+
+
+def _eta(log_bases: np.ndarray, log_activations: np.ndarray) -> np.ndarray:
+    logits = log_bases[:, :, None] + log_activations[None, :, :]
+    if not np.isfinite(logits).all():
         idx = tuple(np.argwhere(~np.isfinite(logits))[0])
         raise NumericalDomainError(f"non-finite log expectation at index {idx}")
-    logits = logits - logits.max(axis=1, keepdims=True)
-    eta = np.exp(logits)
+    logits -= logits.max(axis=1, keepdims=True)
+    eta = np.exp(logits, out=logits)
     eta /= eta.sum(axis=1, keepdims=True)
-    return replace(model, eta=eta)
+    return eta
+
+
+class _Gamma(NamedTuple):
+    """Gamma posterior of one factor, with psi(shape) kept for the bound."""
+
+    shape: np.ndarray
+    scale: np.ndarray
+    mean: np.ndarray
+    log_mean: np.ndarray
+    psi: np.ndarray
 
 
 def update_variational(model: FactorModel, X) -> FactorModel:
@@ -228,44 +244,42 @@ def update_variational(model: FactorModel, X) -> FactorModel:
     """
     X = _as_observation(X)
     e_kappa = X[:, None, :] * model.eta  # M x K x T
-
-    sum_w = model.activations.sum(axis=1)  # (K,)
-    a_shape = 1.0 + e_kappa.sum(axis=2)
-    a_denom = sum_w[None, :] + model.prior_rate_u
-    if np.any(a_denom < EPS):
-        warnings.warn(
-            "zero basis-scale denominator floored at 1e-12",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    a_scale = 1.0 / _floored(a_denom)
-    bases = a_shape * a_scale
-    log_bases = special.psi(a_shape) + np.log(a_scale)
-
-    sum_u = bases.sum(axis=0)  # (K,)
-    b_shape = 1.0 + e_kappa.sum(axis=0)
-    b_denom = sum_u[:, None] + model.prior_rate_w
-    if np.any(b_denom < EPS):
-        warnings.warn(
-            "zero activation-scale denominator floored at 1e-12",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    b_scale = 1.0 / _floored(b_denom)
-    activations = b_shape * b_scale
-    log_activations = special.psi(b_shape) + np.log(b_scale)
-
-    return replace(
-        model,
-        bases=bases,
-        activations=activations,
-        log_bases=log_bases,
-        log_activations=log_activations,
-        a_shape=a_shape,
-        a_scale=a_scale,
-        b_shape=b_shape,
-        b_scale=b_scale,
+    u, w = _gamma_step(
+        e_kappa.sum(axis=2), e_kappa.sum(axis=0), model.activations,
+        model.prior_rate_u, model.prior_rate_w,
     )
+    return replace(model, **_fields(u, w))
+
+
+def _gamma_step(kappa_u, kappa_w, activations, rate_u, rate_w) -> tuple[_Gamma, _Gamma]:
+    """Basis then activation posteriors from the expected counts summed
+    over time (M x K) and over sources (K x T)."""
+    u = _gamma_half(kappa_u, activations.sum(axis=1)[None, :] + rate_u, "basis")
+    w = _gamma_half(kappa_w, u.mean.sum(axis=0)[:, None] + rate_w, "activation")
+    return u, w
+
+
+def _gamma_half(kappa: np.ndarray, denom: np.ndarray, name: str) -> _Gamma:
+    if (denom < EPS).any():
+        warnings.warn(
+            f"zero {name}-scale denominator floored at 1e-12",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+    shape = 1.0 + kappa
+    scale = 1.0 / _floored(denom)
+    psi = special.psi(shape)
+    return _Gamma(shape, scale, shape * scale, psi + np.log(scale), psi)
+
+
+def _fields(u: _Gamma, w: _Gamma) -> dict:
+    """The FactorModel fields the two Gamma posteriors determine."""
+    return {
+        "bases": u.mean, "activations": w.mean,
+        "log_bases": u.log_mean, "log_activations": w.log_mean,
+        "a_shape": u.shape, "a_scale": u.scale,
+        "b_shape": w.shape, "b_scale": w.scale,
+    }
 
 
 def update_control(model: FactorModel) -> FactorModel:
@@ -274,9 +288,9 @@ def update_control(model: FactorModel) -> FactorModel:
     The basis-rate estimate is the positive root of
     alpha^2 + s_w * alpha - s_w / E(u) = 0 with s_w the activation sum over
     time; the activation rate solves the mirrored equation with s_u the
-    basis sum over sources.  The estimates track the posterior as it
-    converges; the rates the updates actually use stay at their fixed
-    values so the sweep remains an ascent on the bound.
+    basis sum over sources.  The estimates describe the posterior; the
+    rates the updates actually use stay at their fixed values so every
+    sweep remains an ascent on the bound.
     """
     sum_w = model.activations.sum(axis=1)[None, :]  # 1 x K
     e_u = _floored(model.bases)
@@ -304,42 +318,60 @@ def lower_bound(model: FactorModel, X) -> float:
     log-Gamma(kappa+1) terms cancel between the two halves and are omitted.
     """
     X = _as_observation(X)
-    e_kappa = X[:, None, :] * model.eta
+    u = _Gamma(model.a_shape, model.a_scale, model.bases, model.log_bases,
+               special.psi(model.a_shape))
+    w = _Gamma(model.b_shape, model.b_scale, model.activations,
+               model.log_activations, special.psi(model.b_shape))
+    return _bound(
+        u, w, *_counts(X[:, None, :], model.eta),
+        -float(special.gammaln(X + 1.0).sum()),
+        model.prior_rate_u, model.prior_rate_w,
+    )
 
-    recon = float(np.sum(model.bases @ model.activations))
-    data = -float(special.gammaln(X + 1.0).sum())
-    alloc = special.xlogy(e_kappa, model.eta)
-    if not np.all(np.isfinite(alloc)):
+
+def _counts(x: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Expected counts E(kappa) = X * eta summed over time (M x K) and over
+    sources (K x T), and the allocation term sum E(kappa) log eta."""
+    e_kappa = x * eta  # M x K x T
+    kappa_u, kappa_w = e_kappa.sum(axis=2), e_kappa.sum(axis=0)
+    alloc = special.xlogy(e_kappa, eta, out=e_kappa)
+    if not np.isfinite(alloc).all():
         idx = tuple(np.argwhere(~np.isfinite(alloc))[0])
         raise NumericalDomainError(
             f"allocation entropy has log of a nonpositive argument at index {idx}"
         )
-    data -= float(alloc.sum())
+    return kappa_u, kappa_w, float(alloc.sum())
 
-    cross_u = float(np.sum(model.log_bases * e_kappa.sum(axis=2)))
-    cross_w = float(np.sum(model.log_activations * e_kappa.sum(axis=0)))
 
-    rate_u, rate_w = model.prior_rate_u, model.prior_rate_w
+def _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w) -> float:
+    """Lower bound of one state from its Gamma posteriors and ``_counts``;
+    ``data`` is -sum(log X_mt!)."""
+    recon = float((u.mean @ w.mean).sum())
+    data -= alloc
+
+    cross_u = float((u.log_mean * kappa_u).sum())
+    cross_w = float((w.log_mean * kappa_w).sum())
+
     if not (rate_u > 0 and rate_w > 0):
         raise NumericalDomainError("prior rates must be positive for the bound")
-    prior_u = float(np.sum(np.log(rate_u) - rate_u * model.bases))
-    prior_w = float(np.sum(np.log(rate_w) - rate_w * model.activations))
+    prior_u = float((np.log(rate_u) - rate_u * u.mean).sum())
+    prior_w = float((np.log(rate_w) - rate_w * w.mean).sum())
 
-    ent_u = float(np.sum(_gamma_entropy(model.a_shape, model.a_scale)))
-    ent_w = float(np.sum(_gamma_entropy(model.b_shape, model.b_scale)))
+    ent_u = float(_gamma_entropy(u).sum())
+    ent_w = float(_gamma_entropy(w).sum())
 
     total = -recon + data + cross_u + cross_w + prior_u + prior_w + ent_u + ent_w
-    if not np.isfinite(total):
+    if not math.isfinite(total):
         raise NumericalDomainError("lower bound evaluated to a non-finite value")
     return total
 
 
-def _gamma_entropy(shape: np.ndarray, scale: np.ndarray) -> np.ndarray:
+def _gamma_entropy(g: _Gamma) -> np.ndarray:
     return (
-        -(shape - 1.0) * special.psi(shape)
-        + np.log(_floored(scale))
-        + shape
-        + special.gammaln(shape)
+        -(g.shape - 1.0) * g.psi
+        + np.log(_floored(g.scale))
+        + g.shape
+        + special.gammaln(g.shape)
     )
 
 
@@ -350,26 +382,39 @@ def _floored(arr: np.ndarray) -> np.ndarray:
 def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
     """Run the full variational loop until the bound stabilizes.
 
-    Per sweep: allocation update, Gamma updates, prior-rate update.  Stops
-    when the relative bound change drops below ``opts.tol`` or after
+    A sweep is allocation update, Gamma updates, then the bound, run on
+    plain arrays through the kernels behind ``update_eta``,
+    ``update_variational`` and ``lower_bound``; the expected-count sums
+    are shared by the Gamma step and the bound.  Stops when the
+    relative bound change drops below ``opts.tol`` or after
     ``opts.max_iters`` sweeps; a non-converged model is returned flagged,
     not raised.  An all-zero observation short-circuits after the first
-    sweep since there is no mass to allocate.
+    sweep since there is no mass to allocate.  The control estimates run
+    once, on the final state: no update reads them, so computing them
+    every sweep would change no result.
     """
     opts = opts or FitOptions()
     X = _as_observation(X)
-    model = init_model(X, K, opts.seed)
+    init = init_model(X, K, opts.seed)
+    rate_u, rate_w = init.prior_rate_u, init.prior_rate_w
+    ctrl_alpha, ctrl_beta = init.ctrl_alpha, init.ctrl_beta  # replaced below
+    log_bases, log_activations = init.log_bases, init.log_activations
+    activations = init.activations
+    del init  # frees the starting eta and Gamma state, which no sweep reads
+    x = X[:, None, :]  # broadcasts against eta
+    data = -float(special.gammaln(X + 1.0).sum())
     zero_mass = float(X.sum()) == 0.0
 
     trace: list[float] = []
     converged = False
     previous = None
-    for iteration in range(1, opts.max_iters + 1):
-        model = update_eta(model, X)
-        model = update_variational(model, X)
-        elbo = lower_bound(model, X)
+    for _ in range(opts.max_iters):
+        eta = _eta(log_bases, log_activations)
+        kappa_u, kappa_w, alloc = _counts(x, eta)
+        u, w = _gamma_step(kappa_u, kappa_w, activations, rate_u, rate_w)
+        log_bases, log_activations, activations = u.log_mean, w.log_mean, w.mean
+        elbo = _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w)
         trace.append(elbo)
-        model = update_control(model)
         if zero_mass:
             converged = True
             break
@@ -379,12 +424,18 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
                 break
         previous = elbo
 
-    return replace(
-        model,
+    return update_control(FactorModel(
+        **_fields(u, w),
+        eta=eta,
+        ctrl_alpha=ctrl_alpha,
+        ctrl_beta=ctrl_beta,
+        K=K,
+        prior_rate_u=rate_u,
+        prior_rate_w=rate_w,
         converged=converged,
         iterations=len(trace),
         elbo_trace=tuple(trace),
-    )
+    ))
 
 
 def select_order(

@@ -142,6 +142,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """JSON number test; ``true``/``false`` are not numbers here."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _check_loop(sec: dict, name: str, diags: list[str]) -> None:
     """Iteration cap and tolerance of an iterative fit section."""
     max_iters = sec.get("max_iters", _DEFAULTS[name]["max_iters"])
@@ -231,9 +236,12 @@ def validate_document(doc: dict) -> list[str]:
     if stage == "sweep" and sweep is None:
         diags.append("stage 'sweep' requires a 'sweep' section")
     if isinstance(sweep, dict):
+        r_sx = sweep.get("r_sx", _DEFAULTS["sweep"]["r_sx"])
+        if not _is_real(r_sx):
+            diags.append(f"sweep.r_sx must be a real number, got {r_sx!r}")
         deltas = sweep.get("deltas", _DEFAULTS["sweep"]["deltas"])
-        if not isinstance(deltas, list) or not deltas:
-            diags.append("sweep.deltas must be a nonempty list of reals")
+        if not isinstance(deltas, list) or not deltas or not all(map(_is_real, deltas)):
+            diags.append(f"sweep.deltas must be a nonempty list of reals, got {deltas!r}")
 
     return diags
 

@@ -261,6 +261,58 @@ class TestFit:
         assert m.iterations == 2
 
 
+def reference_fit(X, K, opts):
+    """The sweep loop rebuilt from the public step functions, with the
+    control estimates refreshed every sweep."""
+    model = bnmf.init_model(X, K, opts.seed)
+    zero_mass = float(np.asarray(X).sum()) == 0.0
+    trace, converged, previous = [], False, None
+    for _ in range(opts.max_iters):
+        model = bnmf.update_eta(model, X)
+        model = bnmf.update_variational(model, X)
+        elbo = bnmf.lower_bound(model, X)
+        trace.append(elbo)
+        model = bnmf.update_control(model)
+        if zero_mass:
+            converged = True
+            break
+        if previous is not None:
+            if abs(elbo - previous) <= opts.tol * max(abs(previous), bnmf.EPS):
+                converged = True
+                break
+        previous = elbo
+    return replace(
+        model, converged=converged, iterations=len(trace), elbo_trace=tuple(trace)
+    )
+
+
+class TestFitMatchesStepFunctions:
+    CASES = [
+        (random_matrix(seed, M=M, T=T, scale=scale), K, opts)
+        for seed, (M, T, scale) in enumerate([(2, 32, 2.0), (3, 17, 20.0), (1, 9, 0.5)])
+        for K in (1, 2, 3)
+        for opts in (
+            bnmf.FitOptions(max_iters=300, tol=1e-8, seed=seed),
+            bnmf.FitOptions(max_iters=2, tol=1e-15, seed=seed + 10),
+        )
+    ] + [(np.zeros((2, 16)), K, bnmf.FitOptions(max_iters=50, seed=K)) for K in (1, 2, 3)]
+
+    @pytest.mark.parametrize("X,K,opts", CASES)
+    def test_bit_identical(self, X, K, opts):
+        got, want = bnmf.fit(X, K, opts), reference_fit(X, K, opts)
+        assert got.elbo_trace == want.elbo_trace
+        assert got.iterations == want.iterations
+        assert got.converged == want.converged
+        for name in bnmf.FactorModel._ARRAY_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_returned_state_is_last_sweep(self):
+        for seed in range(5):
+            X = random_matrix(seed, T=24, scale=5.0)
+            m = bnmf.fit(X, 2, bnmf.FitOptions(max_iters=40, tol=1e-9, seed=seed))
+            assert bnmf.lower_bound(m, X) == m.elbo_trace[-1]
+
+
 class TestSelectOrder:
     def test_singleton_range(self):
         X = random_matrix(10, T=24, scale=10.0)

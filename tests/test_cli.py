@@ -155,6 +155,10 @@ BAD_ENTRIES = [
     ("transform", None, [1]),
     ("recovery", None, "x"),
     ("sweep", None, 3),
+    ("sweep", "r_sx", "x"),
+    ("sweep", "r_sx", True),
+    ("sweep", "deltas", ["x"]),
+    ("sweep", "deltas", [1, True]),
     ("register", "horizon", True),
     ("factorization", "k", True),
     ("factorization", "k_min", "x"),
@@ -186,6 +190,18 @@ class TestMain:
             doc.setdefault(section, {})[key] = value
         path = write_config(tmp_path, doc)
         assert cli.main(["pipeline", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_with_bad_delta_exits_2(self, tmp_path, capsys):
+        doc = {
+            "stage": "sweep",
+            "output_dir": str(tmp_path / "out"),
+            "sweep": {"deltas": ["x"]},
+        }
+        path = write_config(tmp_path, doc)
+        assert cli.main(["sweep", "--config", str(path)]) == 2
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ValidationError"
         assert not (tmp_path / "out").exists()
