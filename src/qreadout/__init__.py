@@ -23,7 +23,7 @@ from .register import (
     generate_input,
     observe,
 )
-from .bnmf import FactorModel, FitOptions, fit, select_order
+from .bnmf import FactorModel, FitOptions, FitResult, fit, select_order
 from .transforms import ProbTable, SpectralState, WindowSpec, cqt, dft, hann_window, icqt, idstft
 from .partition import BasisPartition, PartitionTensors, assign, contract, fit_partition, score, transform_bases
 from .recovery import ClusteredBases, RecoveryResult, build_superposition, extract_target, finalize, regroup
@@ -44,6 +44,7 @@ __all__ = [
     "observe",
     "FitOptions",
     "FactorModel",
+    "FitResult",
     "fit",
     "select_order",
     "WindowSpec",

@@ -16,6 +16,7 @@ input model, it returns a fresh one.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
@@ -23,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy import special
 
-from .errors import NumericalDomainError, ValidationError
+from .errors import DimensionError, NumericalDomainError, ValidationError
 
 EPS = 1e-12  # floor for denominators and log arguments
 
@@ -37,8 +38,9 @@ class FitOptions:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        m = self.max_iters
+        if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
+            raise ValidationError(f"max_iters must be an integer >= 1, got {m!r}")
         if not self.tol > 0:
             raise ValidationError(f"tol must be > 0, got {self.tol}")
 
@@ -119,17 +121,53 @@ class FactorModel:
         "a_shape", "a_scale", "b_shape", "b_scale", "ctrl_alpha", "ctrl_beta",
     )
 
+    def result(self) -> "FitResult":
+        """The part of this state that the later pipeline stages read."""
+        return FitResult(
+            bases=self.bases,
+            activations=self.activations,
+            K=self.K,
+            converged=self.converged,
+            iterations=self.iterations,
+            elbo_trace=self.elbo_trace,
+        )
+
+
+@dataclass(frozen=True)
+class FitResult:
+    """What a fit hands to the partition, recovery and verify stages.
+
+    The Gamma posterior means ``bases`` (M x K) and ``activations``
+    (K x T) with the fit's order and convergence record; persisted as
+    ``model.json``.  The rest of the variational state stays in
+    ``FactorModel``, since no later stage reads it.
+    """
+
+    bases: np.ndarray
+    activations: np.ndarray
+    K: int
+    converged: bool
+    iterations: int
+    elbo_trace: tuple
+
+    def __post_init__(self):
+        if (self.bases.ndim, self.activations.ndim) != (2, 2) or not (
+            self.bases.shape[1] == self.activations.shape[0] == self.K
+        ):
+            raise DimensionError(
+                f"need M x K bases and K x T activations with K={self.K}, got "
+                f"{self.bases.shape} and {self.activations.shape}"
+            )
+
     def to_dict(self) -> dict:
         # matrices go out row-major with their shapes explicit
         doc = {
             "K": self.K,
-            "prior_rate_u": self.prior_rate_u,
-            "prior_rate_w": self.prior_rate_w,
             "converged": self.converged,
             "iterations": self.iterations,
             "elbo_trace": list(self.elbo_trace),
         }
-        for name in self._ARRAY_FIELDS:
+        for name in ("bases", "activations"):
             arr = getattr(self, name)
             doc[name] = {
                 "shape": list(arr.shape),
@@ -138,21 +176,18 @@ class FactorModel:
         return doc
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FactorModel":
+    def from_dict(cls, d: dict) -> "FitResult":
         def arr(key):
             entry = d[key]
-            if isinstance(entry, dict):
-                return np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-            return np.asarray(entry, dtype=float)
+            return np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
 
         return cls(
-            **{name: arr(name) for name in cls._ARRAY_FIELDS},
+            bases=arr("bases"),
+            activations=arr("activations"),
             K=int(d["K"]),
-            prior_rate_u=float(d.get("prior_rate_u", 1.0)),
-            prior_rate_w=float(d.get("prior_rate_w", 1.0)),
             converged=bool(d["converged"]),
             iterations=int(d["iterations"]),
-            elbo_trace=tuple(d.get("elbo_trace", ())),
+            elbo_trace=tuple(d["elbo_trace"]),
         )
 
 

@@ -153,7 +153,7 @@ def _check_loop(sec: dict, name: str, diags: list[str]) -> None:
     if not _is_int(max_iters) or max_iters < 1:
         diags.append(f"{name}.max_iters must be an integer >= 1, got {max_iters!r}")
     tol = sec.get("tol", _DEFAULTS[name]["tol"])
-    if not isinstance(tol, (int, float)) or not tol > 0:
+    if not _is_real(tol) or not tol > 0:
         diags.append(f"{name}.tol must be > 0, got {tol!r}")
 
 
@@ -187,7 +187,7 @@ def validate_document(doc: dict) -> list[str]:
             diags.append(f"register.horizon must be an integer >= 1, got {horizon!r}")
         if not _is_int(dim) or dim < 1:
             diags.append(f"register.dim must be an integer >= 1, got {dim!r}")
-        if not isinstance(strength, (int, float)) or not 0 <= strength <= 1:
+        if not _is_real(strength) or not 0 <= strength <= 1:
             diags.append(
                 f"register.residual_strength must lie in [0, 1], got {strength!r}"
             )
@@ -284,13 +284,14 @@ def _load_ground_truth(cfg: RunConfig) -> tuple[register.GroundTruth, register.R
     return register.ground_truth_from_json(path)
 
 
-def _stage_fit(cfg: RunConfig, record: RunRecord, obs=None) -> bnmf.FactorModel:
+def _stage_fit(cfg: RunConfig, record: RunRecord, obs=None) -> bnmf.FitResult:
     obs = obs or _load_observation(cfg)
     opts = cfg.fit_options()
     k_min, k_max = cfg.order_range()
     k_star, model, scores = bnmf.select_order(
         obs.values, k_min, k_max, opts, with_trace=True
     )
+    model = model.result()
 
     model_path = cfg.output_dir / "model.json"
     _write_json(model.to_dict(), model_path)
@@ -316,10 +317,10 @@ def _stage_fit(cfg: RunConfig, record: RunRecord, obs=None) -> bnmf.FactorModel:
     return model
 
 
-def _load_model(cfg: RunConfig) -> bnmf.FactorModel:
+def _load_model(cfg: RunConfig) -> bnmf.FitResult:
     path = _require(cfg.output_dir / "model.json", "fit")
     with open(path) as fh:
-        return bnmf.FactorModel.from_dict(json.load(fh))
+        return bnmf.FitResult.from_dict(json.load(fh))
 
 
 def _window_for(cfg: RunConfig, K: int) -> tuple[transforms.WindowSpec, int]:
@@ -375,7 +376,7 @@ def _load_partition(cfg: RunConfig) -> part_mod.BasisPartition:
         return part_mod.BasisPartition.from_dict(json.load(fh))
 
 
-def true_target_bases(model: bnmf.FactorModel, gt: register.GroundTruth) -> list[int]:
+def true_target_bases(model: bnmf.FitResult, gt: register.GroundTruth) -> list[int]:
     """Bases whose activation profile tracks the planted target row.
 
     A basis belongs to the target when its activation series correlates at
@@ -458,7 +459,7 @@ def _stage_recover(
 
 
 def recovered_spectrum(
-    model: bnmf.FactorModel,
+    model: bnmf.FitResult,
     part: part_mod.BasisPartition,
     reg_cfg: register.RegisterConfig,
 ) -> np.ndarray:

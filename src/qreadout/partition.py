@@ -156,8 +156,14 @@ def fit_partition(
 
     Standard KL-divergence multiplicative rules applied to R, E and H in
     turn; each factor update is a majorize-minimize step so the cost is
-    non-increasing per sweep.  Returns a flagged (not raised) result if the
-    tolerance is not met within ``max_iters``.
+    non-increasing per sweep.  The fit stops once a sweep changes the cost
+    by less than ``tol`` times the larger of the previous cost and the
+    data mass ``S.sum()``.  The KL cost grows with the counts, so the mass
+    is its natural scale: when the start already reproduces S the cost is
+    zero up to rounding, and a change relative to the cost alone would
+    compare rounding noise with rounding noise and never fall below
+    ``tol``.  Returns a flagged (not raised) result if the tolerance is not
+    met within ``max_iters``.
 
     When the magnitudes of the transformed bases and the activations are
     passed as ``init_bases`` / ``init_activations``, E and H start there
@@ -193,6 +199,7 @@ def fit_partition(
     def kl_cost(lam: np.ndarray) -> float:
         return float(np.sum(special.xlogy(S, S / lam) - S + lam))
 
+    mass = max(float(S.sum()), EPS)
     trace = [kl_cost(model_matrix())]
     converged = False
     for sweep in range(1, max_iters + 1):
@@ -218,7 +225,7 @@ def fit_partition(
 
         cost = kl_cost(model_matrix())
         trace.append(cost)
-        rel = abs(trace[-2] - cost) / max(abs(trace[-2]), EPS)
+        rel = abs(trace[-2] - cost) / max(abs(trace[-2]), mass)
         if rel < tol:
             converged = True
             break

@@ -1,3 +1,4 @@
+import json
 from dataclasses import replace
 
 import mpmath
@@ -6,7 +7,7 @@ import pytest
 from scipy import optimize, special
 
 from qreadout import bnmf
-from qreadout.errors import ValidationError
+from qreadout.errors import DimensionError, ValidationError
 
 
 def random_matrix(seed, M=2, T=32, scale=2.0):
@@ -254,6 +255,15 @@ class TestFit:
         root = optimize.brentq(lambda w: w - b * np.exp(-b * w), 0.0, max(10 * b, 10.0))
         assert w_tilde[0, 0] == pytest.approx(root, abs=1e-10)
 
+    @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, "3", None, 0])
+    def test_non_integer_max_iters_rejected(self, max_iters):
+        with pytest.raises(ValidationError, match="max_iters"):
+            bnmf.FitOptions(max_iters=max_iters)
+
+    def test_numpy_integer_max_iters_accepted(self):
+        m = bnmf.fit(random_matrix(9), 1, bnmf.FitOptions(max_iters=np.int64(2)))
+        assert m.iterations <= 2
+
     def test_nonconvergence_flagged_not_raised(self):
         X = random_matrix(9, T=48, scale=10.0)
         m = bnmf.fit(X, 3, bnmf.FitOptions(max_iters=2, tol=1e-15, seed=1))
@@ -354,11 +364,20 @@ class TestSerialization:
     def test_model_json_roundtrip(self):
         X = random_matrix(12, T=8)
         m = bnmf.fit(X, 2, bnmf.FitOptions(max_iters=20, tol=1e-8, seed=3))
-        doc = m.to_dict()
+        doc = json.loads(json.dumps(m.result().to_dict()))
         assert doc["bases"]["shape"] == [2, 2]
-        assert doc["eta"]["shape"] == [2, 2, 8]
-        back = bnmf.FactorModel.from_dict(doc)
-        np.testing.assert_allclose(back.bases, m.bases)
-        np.testing.assert_allclose(back.eta, m.eta)
+        assert doc["activations"]["shape"] == [2, 8]
+        assert "eta" not in doc
+        back = bnmf.FitResult.from_dict(doc)
+        assert np.array_equal(back.bases, m.bases)
+        assert np.array_equal(back.activations, m.activations)
         assert back.K == m.K
         assert back.converged == m.converged
+        assert back.iterations == m.iterations
+        assert back.elbo_trace == m.elbo_trace
+
+    def test_mismatched_shapes_rejected(self):
+        doc = bnmf.fit(random_matrix(12, T=8), 2).result().to_dict()
+        doc["K"] = 3
+        with pytest.raises(DimensionError):
+            bnmf.FitResult.from_dict(doc)

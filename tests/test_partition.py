@@ -141,6 +141,26 @@ class TestFitPartition:
         assert per_source[0, 0] > per_source[1, 0]
         assert per_source[1, 1] > per_source[0, 1]
 
+    def test_exact_anchored_fit_stops_at_once(self):
+        # the pipeline's case: with real nonnegative bases the anchored
+        # init already reproduces S, so the cost sits at rounding level
+        R = np.zeros((2, 1, 2))
+        R[[0, 1], 0, [0, 1]] = 1.0
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            bases = rng.uniform(0.0, 2.0, size=(2, 3))
+            acts = rng.exponential(1.0, size=(3, 400))
+            fit = pm.fit_partition(
+                bases @ acts, 3, max_iters=300, tol=1e-7, seed=seed,
+                init_bases=bases, init_activations=acts,
+            )
+            assert fit.converged
+            assert fit.iterations <= 2
+            start = pm.PartitionTensors(R=R, E=bases, H=acts[None])
+            assert np.array_equal(
+                pm.assign(fit).assignment, pm.assign(start).assignment
+            )
+
 
 class TestAssign:
     def build(self, per_source):
