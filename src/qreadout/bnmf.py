@@ -41,8 +41,9 @@ class FitOptions:
         m = self.max_iters
         if isinstance(m, bool) or not isinstance(m, numbers.Integral) or m < 1:
             raise ValidationError(f"max_iters must be an integer >= 1, got {m!r}")
-        if not self.tol > 0:
-            raise ValidationError(f"tol must be > 0, got {self.tol}")
+        t = self.tol
+        if isinstance(t, bool) or not isinstance(t, numbers.Real) or not t > 0:
+            raise ValidationError(f"tol must be a real number > 0, got {t!r}")
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ class FitResult:
             arr = getattr(self, name)
             doc[name] = {
                 "shape": list(arr.shape),
-                "data": [float(v) for v in np.ravel(arr, order="C")],
+                "data": arr.ravel().tolist(),
             }
         return doc
 

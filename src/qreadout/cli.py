@@ -26,6 +26,7 @@ import scipy
 
 from . import __version__
 from . import bnmf, partition as part_mod, recovery, register, snr, transforms
+from .artifacts import write_json
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -111,17 +112,27 @@ class RunRecord:
         }
 
 
-def _write_json(doc: dict, path: Path) -> None:
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-
-
 def _require(path: Path, producer: str) -> Path:
     if not path.exists():
         raise ValidationError(
             f"missing artifact {path.name}; run the {producer} stage first"
         )
     return path
+
+
+def _load(cfg: RunConfig, name: str, producer: str, from_dict):
+    """Read one stage artifact; a malformed file is a validation failure."""
+    path = _require(cfg.output_dir / name, producer)
+    try:
+        with open(path) as fh:
+            return from_dict(json.load(fh))
+    except QReadoutError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"malformed artifact {name} ({type(exc).__name__}: {exc}); "
+            f"rerun the {producer} stage"
+        ) from exc
 
 
 def validate(config_path: str | Path) -> list[str]:
@@ -187,6 +198,12 @@ def validate_document(doc: dict) -> list[str]:
             diags.append(f"register.horizon must be an integer >= 1, got {horizon!r}")
         if not _is_int(dim) or dim < 1:
             diags.append(f"register.dim must be an integer >= 1, got {dim!r}")
+        elif _is_int(horizon) and horizon < dim:
+            # one time window per component: fewer steps than components
+            # leaves some components unobservable
+            diags.append(
+                f"register.horizon must be >= register.dim ({dim}), got {horizon!r}"
+            )
         if not _is_real(strength) or not 0 <= strength <= 1:
             diags.append(
                 f"register.residual_strength must lie in [0, 1], got {strength!r}"
@@ -256,13 +273,13 @@ def _stage_simulate(cfg: RunConfig, record: RunRecord) -> dict:
     obs = register.observe(gt, reg_cfg)
 
     gt_path = cfg.output_dir / "ground_truth.json"
-    register.ground_truth_to_json(gt, reg_cfg, gt_path)
+    write_json(register.ground_truth_to_dict(gt, reg_cfg), gt_path)
     gt_csv = cfg.output_dir / "ground_truth.csv"
-    register.ground_truth_to_csv(gt, gt_csv)
+    register.channels_to_csv(gt.source_rows, gt_csv)
     obs_csv = cfg.output_dir / "observation.csv"
-    register.observation_to_csv(obs, obs_csv)
+    register.channels_to_csv(obs.values, obs_csv)
     obs_json = cfg.output_dir / "observation.json"
-    _write_json(obs.to_dict(), obs_json)
+    write_json(obs.to_dict(), obs_json)
 
     record.artifacts.update(
         ground_truth=gt_path,
@@ -274,14 +291,11 @@ def _stage_simulate(cfg: RunConfig, record: RunRecord) -> dict:
 
 
 def _load_observation(cfg: RunConfig) -> register.ObservationMatrix:
-    path = _require(cfg.output_dir / "observation.json", "simulate")
-    with open(path) as fh:
-        return register.ObservationMatrix.from_dict(json.load(fh))
+    return _load(cfg, "observation.json", "simulate", register.ObservationMatrix.from_dict)
 
 
 def _load_ground_truth(cfg: RunConfig) -> tuple[register.GroundTruth, register.RegisterConfig]:
-    path = _require(cfg.output_dir / "ground_truth.json", "simulate")
-    return register.ground_truth_from_json(path)
+    return _load(cfg, "ground_truth.json", "simulate", register.ground_truth_from_dict)
 
 
 def _stage_fit(cfg: RunConfig, record: RunRecord, obs=None) -> bnmf.FitResult:
@@ -294,7 +308,7 @@ def _stage_fit(cfg: RunConfig, record: RunRecord, obs=None) -> bnmf.FitResult:
     model = model.result()
 
     model_path = cfg.output_dir / "model.json"
-    _write_json(model.to_dict(), model_path)
+    write_json(model.to_dict(), model_path)
     trace_path = cfg.output_dir / "elbo_trace.csv"
     with open(trace_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -318,9 +332,7 @@ def _stage_fit(cfg: RunConfig, record: RunRecord, obs=None) -> bnmf.FitResult:
 
 
 def _load_model(cfg: RunConfig) -> bnmf.FitResult:
-    path = _require(cfg.output_dir / "model.json", "fit")
-    with open(path) as fh:
-        return bnmf.FitResult.from_dict(json.load(fh))
+    return _load(cfg, "model.json", "fit", bnmf.FitResult.from_dict)
 
 
 def _window_for(cfg: RunConfig, K: int) -> tuple[transforms.WindowSpec, int]:
@@ -365,15 +377,13 @@ def _stage_partition(cfg: RunConfig, record: RunRecord, model=None) -> part_mod.
             record.notes.append("partition decomposition did not converge")
 
     part_path = cfg.output_dir / "partition.json"
-    part_mod.partition_to_json(part, part_path)
+    write_json(part.to_dict(), part_path)
     record.artifacts["partition"] = part_path
     return part
 
 
 def _load_partition(cfg: RunConfig) -> part_mod.BasisPartition:
-    path = _require(cfg.output_dir / "partition.json", "partition")
-    with open(path) as fh:
-        return part_mod.BasisPartition.from_dict(json.load(fh))
+    return _load(cfg, "partition.json", "partition", part_mod.BasisPartition.from_dict)
 
 
 def true_target_bases(model: bnmf.FitResult, gt: register.GroundTruth) -> list[int]:
@@ -425,7 +435,7 @@ def _stage_recover(
         c_b = part_mod.transform_bases(model, w, k_freq)
         clustered = recovery.regroup(c_b, part, w, k_freq)
         clustered_path = cfg.output_dir / "clustered_bases.json"
-        _write_json(
+        write_json(
             {
                 "cluster_sizes": clustered.sizes,
                 "composite": [
@@ -453,7 +463,7 @@ def _stage_recover(
         record.artifacts["prob_table"] = table_path
 
     rec_path = cfg.output_dir / "recovery.json"
-    recovery.recovery_to_json(result, rec_path)
+    write_json(result.to_dict(), rec_path)
     record.artifacts["recovery"] = rec_path
     return result
 
@@ -495,7 +505,7 @@ def _stage_verify(cfg: RunConfig, record: RunRecord, model=None, part=None, gt=N
         snr.energy(phi_out, spec),
     )
     report_path = cfg.output_dir / "snr_report.json"
-    snr.report_to_json(report, report_path)
+    write_json(report.to_dict(), report_path)
     record.artifacts["snr_report"] = report_path
     if report.no_gain:
         record.notes.append("verification flagged no-gain (delta <= 0)")
@@ -539,7 +549,7 @@ def run(cfg: RunConfig) -> RunRecord:
         raise ValidationError(f"unknown stage {cfg.stage!r}")
 
     record.elapsed_seconds = time.monotonic() - started
-    _write_json(record.to_dict(), cfg.output_dir / "run.json")
+    write_json(record.to_dict(), cfg.output_dir / "run.json")
     return record
 
 

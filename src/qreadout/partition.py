@@ -11,7 +11,6 @@ assignment of each basis to one of the two source clusters.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -277,8 +276,3 @@ def scores_to_csv(t: PartitionTensors, path) -> None:
         for k in range(per_source.shape[1]):
             row = [k] + [repr(float(v)) for v in per_source[:, k]] + [repr(float(total[k]))]
             writer.writerow(row)
-
-
-def partition_to_json(p: BasisPartition, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(p.to_dict(), fh, indent=2, sort_keys=True)

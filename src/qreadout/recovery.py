@@ -9,7 +9,6 @@ leaves the uniform target state over the recovered bases.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -214,8 +213,3 @@ def finalize(
         fidelity_vs_target=fidelity,
         recovered_bases=tuple(int(k) for k in recovered_bases),
     )
-
-
-def recovery_to_json(result: RecoveryResult, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(result.to_dict(), fh, indent=2, sort_keys=True)

@@ -18,7 +18,6 @@ register state.
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -316,24 +315,17 @@ def spectrum_from_row(row: np.ndarray, horizon: int, dim: int) -> np.ndarray:
     return power / total if total > 0 else power
 
 
-def observation_to_csv(obs: ObservationMatrix, path: str | Path) -> None:
-    """Write the observation as rows=channels CSV with header ``m,t0..``."""
-    horizon = obs.metadata.horizon
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m"] + [f"t{t}" for t in range(horizon)])
-        for m in range(obs.values.shape[0]):
-            writer.writerow([m] + [repr(float(v)) for v in obs.values[m]])
+def channels_to_csv(rows, path: str | Path) -> None:
+    """Write channels-by-time rows (observation or ground truth) as CSV.
 
-
-def ground_truth_to_csv(gt: GroundTruth, path: str | Path) -> None:
-    """Write the planted source rows in the same channels-by-time layout."""
-    horizon = gt.horizon
+    Header ``m,t0..``, one line per channel led by its index, full
+    round-trip floats and CRLF line ends, the bytes ``csv.writer`` writes.
+    """
+    rows = np.asarray(rows, dtype=float)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["m"] + [f"t{t}" for t in range(horizon)])
-        for m in range(gt.source_rows.shape[0]):
-            writer.writerow([m] + [repr(float(v)) for v in gt.source_rows[m]])
+        fh.write(",".join(["m"] + [f"t{t}" for t in range(rows.shape[1])]) + "\r\n")
+        for m, row in enumerate(rows):
+            fh.write(f"{m}," + ",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def observation_from_csv(path: str | Path, cfg: RegisterConfig) -> ObservationMatrix:
@@ -346,13 +338,10 @@ def observation_from_csv(path: str | Path, cfg: RegisterConfig) -> ObservationMa
     return ObservationMatrix(values=np.asarray(rows), metadata=cfg)
 
 
-def ground_truth_to_json(gt: GroundTruth, cfg: RegisterConfig, path: str | Path) -> None:
-    doc = {"config": cfg.to_dict(), **gt.to_dict()}
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
+def ground_truth_to_dict(gt: GroundTruth, cfg: RegisterConfig) -> dict:
+    """The ``ground_truth.json`` document: the planted sources and their config."""
+    return {"config": cfg.to_dict(), **gt.to_dict()}
 
 
-def ground_truth_from_json(path: str | Path) -> tuple[GroundTruth, RegisterConfig]:
-    with open(path) as fh:
-        doc = json.load(fh)
+def ground_truth_from_dict(doc: dict) -> tuple[GroundTruth, RegisterConfig]:
     return GroundTruth.from_dict(doc), RegisterConfig.from_dict(doc["config"])

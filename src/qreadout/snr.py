@@ -14,7 +14,6 @@ flag instead of forcing them together.
 from __future__ import annotations
 
 import csv
-import json
 import warnings
 from dataclasses import dataclass
 
@@ -203,8 +202,3 @@ def sweep_to_csv(rows, path) -> None:
         writer.writerow(["delta", "snr_db"])
         for d, s in rows:
             writer.writerow([repr(d), repr(s)])
-
-
-def report_to_json(report: SnrReport, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, sort_keys=True)

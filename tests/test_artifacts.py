@@ -1,0 +1,88 @@
+import json
+from pathlib import Path
+
+from hypothesis import given, settings, strategies as st
+
+from qreadout import cli
+from qreadout.artifacts import _SLICE, write_json
+
+SMALL_PIPELINE = {
+    "stage": "pipeline",
+    "seed": 3,
+    "register": {"horizon": 200, "dim": 64, "residual_strength": 0.3},
+    "factorization": {"k_min": 1, "k_max": 3, "max_iters": 150, "tol": 1e-6},
+}
+
+numbers = st.one_of(st.integers(), st.floats(allow_nan=True, allow_infinity=True))
+scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    numbers,
+    st.just(-0.0),
+    st.text(),
+    st.sampled_from(["a, b", ", ", "é, ü", "line\nbreak", " "]),
+)
+json_values = st.recursive(
+    scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=5),
+        st.lists(inner, max_size=5).map(tuple),
+        st.dictionaries(st.text(), inner, max_size=5),
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=30,
+)
+# flat number lists take the sliced C-encoder path; these cross slice
+# edges (a short drawn pattern, tiled to a drawn length)
+long_number_lists = st.builds(
+    lambda pattern, n: (pattern * n)[:n],
+    st.lists(numbers, min_size=1, max_size=8),
+    st.integers(_SLICE - 1, 2 * _SLICE + 3),
+)
+
+def written(value, directory: Path) -> str:
+    path = directory / "value.json"
+    write_json(value, path)
+    return path.read_text()
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=json_values)
+def test_bytes_equal_indented_json_dumps(value, tmp_path_factory):
+    directory = tmp_path_factory.getbasetemp()
+    assert written(value, directory) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    numbers_list=long_number_lists,
+    nest=st.sampled_from(["bare", "in-dict", "in-list", "tuple"]),
+)
+def test_long_number_lists_equal_indented_json_dumps(
+    numbers_list, nest, tmp_path_factory
+):
+    value = {
+        "bare": numbers_list,
+        "in-dict": {"data": numbers_list, "shape": [len(numbers_list)]},
+        "in-list": [numbers_list, [1.5, True]],
+        "tuple": tuple(numbers_list),
+    }[nest]
+    directory = tmp_path_factory.getbasetemp()
+    assert written(value, directory) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_pipeline_artifacts_are_indented_sorted_json(tmp_path):
+    doc = dict(SMALL_PIPELINE, output_dir=str(tmp_path / "out"))
+    cfg = cli.RunConfig(
+        stage="pipeline", seed=3, output_dir=tmp_path / "out", document=doc
+    )
+    cli.run(cfg)
+    paths = sorted((tmp_path / "out").glob("*.json"))
+    assert {p.name for p in paths} >= {
+        "ground_truth.json", "observation.json", "model.json",
+        "partition.json", "clustered_bases.json", "recovery.json",
+        "snr_report.json", "run.json",
+    }
+    for path in paths:
+        text = path.read_text()
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True), path.name

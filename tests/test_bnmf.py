@@ -264,6 +264,14 @@ class TestFit:
         m = bnmf.fit(random_matrix(9), 1, bnmf.FitOptions(max_iters=np.int64(2)))
         assert m.iterations <= 2
 
+    @pytest.mark.parametrize("tol", [True, "x", None, 0, -1])
+    def test_bad_tol_rejected(self, tol):
+        with pytest.raises(ValidationError, match="tol"):
+            bnmf.FitOptions(tol=tol)
+
+    def test_numpy_float_tol_accepted(self):
+        assert bnmf.FitOptions(tol=np.float64(1e-6)).tol == 1e-6
+
     def test_nonconvergence_flagged_not_raised(self):
         X = random_matrix(9, T=48, scale=10.0)
         m = bnmf.fit(X, 3, bnmf.FitOptions(max_iters=2, tol=1e-15, seed=1))

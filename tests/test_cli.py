@@ -1,4 +1,5 @@
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -167,6 +168,7 @@ BAD_ENTRIES = [
     ("sweep", "deltas", ["x"]),
     ("sweep", "deltas", [1, True]),
     ("register", "horizon", True),
+    ("register", "horizon", 10),
     ("register", "residual_strength", True),
     ("factorization", "tol", True),
     ("partition", "tol", True),
@@ -177,6 +179,14 @@ BAD_ENTRIES = [
     ("recovery", "k1", True),
     (None, "seed", True),
 ]
+
+
+@pytest.fixture(scope="module")
+def pipeline_out(tmp_path_factory):
+    """Artifacts of one pipeline run, copied by tests that damage them."""
+    tmp = tmp_path_factory.mktemp("pipeline")
+    run_stage(tmp, "pipeline")
+    return tmp / "out"
 
 
 class TestMain:
@@ -215,6 +225,37 @@ class TestMain:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ValidationError"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "missing-key"])
+    @pytest.mark.parametrize(
+        "name,key,stage",
+        [
+            ("observation.json", "values", "fit"),
+            ("model.json", "K", "partition"),
+            ("partition.json", "assignment", "recover"),
+            ("ground_truth.json", "config", "verify"),
+        ],
+    )
+    def test_malformed_artifact_exits_2(
+        self, tmp_path, capsys, pipeline_out, name, key, stage, damage
+    ):
+        doc = config_doc(tmp_path, stage=stage)
+        out = Path(doc["output_dir"])
+        shutil.copytree(pipeline_out, out)
+        path = out / name
+        if damage == "truncated":
+            text = path.read_text()
+            path.write_text(text[: len(text) // 2])
+        else:
+            art = json.loads(path.read_text())
+            del art[key]
+            path.write_text(json.dumps(art))
+        config = write_config(tmp_path, doc)
+        assert cli.main([stage, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        payload = json.loads(err.strip())
+        assert payload["error"] == "ValidationError"
+        assert name in payload["message"]
 
     def test_validate_subcommand_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, config_doc(tmp_path))

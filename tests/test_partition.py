@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qreadout import bnmf, partition as pm, register
+from qreadout.artifacts import write_json
 from qreadout.errors import DimensionError, StateError, ValidationError
 from qreadout.transforms import WindowSpec
 
@@ -269,7 +270,7 @@ class TestSerialization:
     def test_partition_json(self, tmp_path):
         part = pm.BasisPartition(assignment=np.array([1, 2, 1]))
         path = tmp_path / "p.json"
-        pm.partition_to_json(part, path)
+        write_json(part.to_dict(), path)
         back = pm.BasisPartition.from_dict(__import__("json").load(open(path)))
         np.testing.assert_array_equal(back.assignment, part.assignment)
         assert back.cluster_sizes == [2, 1]

@@ -3,6 +3,7 @@ import pytest
 from scipy import linalg
 
 from qreadout import bnmf, partition as pm, recovery as rc, register
+from qreadout.artifacts import write_json
 from qreadout.errors import DimensionError, ValidationError
 from qreadout.transforms import SpectralState, WindowSpec
 
@@ -187,7 +188,7 @@ class TestFinalize:
     def test_serialization(self, tmp_path):
         result = rc.finalize(SpectralState(np.ones(2, dtype=complex), "idstft"), 2)
         path = tmp_path / "rec.json"
-        rc.recovery_to_json(result, path)
+        write_json(result.to_dict(), path)
         doc = __import__("json").load(open(path))
         assert doc["fidelity_vs_target"] == 1.0
         assert len(doc["phi_star"]) == 2

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qreadout import register
+from qreadout.artifacts import write_json
 from qreadout.errors import ConfigurationError, DimensionError
 
 
@@ -125,7 +126,7 @@ class TestSerialization:
         cfg = make_cfg(horizon=6)
         obs = register.observe(register.generate_input(cfg), cfg)
         path = tmp_path / "obs.csv"
-        register.observation_to_csv(obs, path)
+        register.channels_to_csv(obs.values, path)
         with open(path) as fh:
             header = next(csv.reader(fh))
         assert header == ["m"] + [f"t{t}" for t in range(6)]
@@ -136,7 +137,7 @@ class TestSerialization:
         cfg = make_cfg(horizon=5)
         gt = register.generate_input(cfg)
         path = tmp_path / "gt.csv"
-        register.ground_truth_to_csv(gt, path)
+        register.channels_to_csv(gt.source_rows, path)
         with open(path) as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["m"] + [f"t{t}" for t in range(5)]
@@ -145,15 +146,34 @@ class TestSerialization:
             [float(v) for v in rows[1][1:]], gt.source_rows[0]
         )
 
+    @pytest.mark.parametrize("integral", [False, True])
+    def test_channels_csv_bytes_match_csv_writer(self, tmp_path, integral):
+        # the rows csv.writer wrote before the two CSV writers were merged
+        rng = np.random.default_rng(5)
+        for shape in [(2, 1), (2, 7), (3, 2048)]:
+            rows = rng.exponential(30.0, size=shape)
+            if integral:
+                rows = np.floor(rows)
+            rows[0, 0] = 0.0
+            expected = tmp_path / "expected.csv"
+            with open(expected, "w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["m"] + [f"t{t}" for t in range(shape[1])])
+                for m in range(shape[0]):
+                    writer.writerow([m] + [repr(float(v)) for v in rows[m]])
+            got = tmp_path / "got.csv"
+            register.channels_to_csv(rows, got)
+            assert got.read_bytes() == expected.read_bytes()
+
     def test_json_roundtrip_embeds_config(self, tmp_path):
         cfg = make_cfg()
         gt = register.generate_input(cfg)
         path = tmp_path / "gt.json"
-        register.ground_truth_to_json(gt, cfg, path)
+        write_json(register.ground_truth_to_dict(gt, cfg), path)
         with open(path) as fh:
             doc = json.load(fh)
         assert doc["config"]["horizon"] == cfg.horizon
-        back, back_cfg = register.ground_truth_from_json(path)
+        back, back_cfg = register.ground_truth_from_dict(doc)
         assert back_cfg == cfg
         np.testing.assert_allclose(back.source_rows, gt.source_rows)
 
