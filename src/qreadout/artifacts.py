@@ -50,8 +50,13 @@ def _encode(o, level: int):
                 yield from _encode(value, level + 1)
                 sep = "," + inner
         yield "\n" + _INDENT * level + "]"
-    else:
-        # scalars, empty containers and dicts with non-string keys; the
-        # output holds no raw newline except its own line breaks
+    elif isinstance(o, dict) and o:
+        # non-string keys, which json converts; its indented text holds no
+        # raw newline except its own line breaks
         text = json.dumps(o, indent=len(_INDENT), sort_keys=True)
         yield text.replace("\n", "\n" + _INDENT * level)
+    else:
+        # scalars and empty containers read the same without indent; the
+        # indenting encoder would build a cycle of closures per value, which
+        # lingers until collected and raised peak memory
+        yield json.dumps(o)
