@@ -148,7 +148,7 @@ class TestSerialization:
 
     @pytest.mark.parametrize("integral", [False, True])
     def test_channels_csv_bytes_match_csv_writer(self, tmp_path, integral):
-        # the rows csv.writer wrote before the two CSV writers were merged
+        # reference: csv.writer rows of full round-trip floats
         rng = np.random.default_rng(5)
         for shape in [(2, 1), (2, 7), (3, 2048)]:
             rows = rng.exponential(30.0, size=shape)
