@@ -44,6 +44,9 @@ class FitOptions:
         t = self.tol
         if isinstance(t, bool) or not isinstance(t, numbers.Real) or not t > 0:
             raise ValidationError(f"tol must be a real number > 0, got {t!r}")
+        s = self.seed
+        if isinstance(s, bool) or not isinstance(s, numbers.Integral) or s < 0:
+            raise ValidationError(f"seed must be an integer >= 0, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -287,15 +290,22 @@ def update_variational(model: FactorModel, X) -> FactorModel:
     return replace(model, **_fields(u, w))
 
 
-def _gamma_step(kappa_u, kappa_w, activations, rate_u, rate_w) -> tuple[_Gamma, _Gamma]:
+def _gamma_step(
+    kappa_u, kappa_w, activations, rate_u, rate_w, digamma_w=special.psi
+) -> tuple[_Gamma, _Gamma]:
     """Basis then activation posteriors from the expected counts summed
-    over time (M x K) and over sources (K x T)."""
+    over time (M x K) and over sources (K x T); ``digamma_w`` gives psi of
+    the K x T activation shapes."""
     u = _gamma_half(kappa_u, activations.sum(axis=1)[None, :] + rate_u, "basis")
-    w = _gamma_half(kappa_w, u.mean.sum(axis=0)[:, None] + rate_w, "activation")
+    w = _gamma_half(
+        kappa_w, u.mean.sum(axis=0)[:, None] + rate_w, "activation", digamma_w
+    )
     return u, w
 
 
-def _gamma_half(kappa: np.ndarray, denom: np.ndarray, name: str) -> _Gamma:
+def _gamma_half(
+    kappa: np.ndarray, denom: np.ndarray, name: str, digamma=special.psi
+) -> _Gamma:
     if (denom < EPS).any():
         warnings.warn(
             f"zero {name}-scale denominator floored at 1e-12",
@@ -304,7 +314,7 @@ def _gamma_half(kappa: np.ndarray, denom: np.ndarray, name: str) -> _Gamma:
         )
     shape = 1.0 + kappa
     scale = 1.0 / _floored(denom)
-    psi = special.psi(shape)
+    psi = digamma(shape)
     return _Gamma(shape, scale, shape * scale, psi + np.log(scale), psi)
 
 
@@ -372,16 +382,23 @@ def _counts(x: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, flo
     kappa_u, kappa_w = e_kappa.sum(axis=2), e_kappa.sum(axis=0)
     alloc = special.xlogy(e_kappa, eta, out=e_kappa)
     if not np.isfinite(alloc).all():
-        idx = tuple(np.argwhere(~np.isfinite(alloc))[0])
-        raise NumericalDomainError(
-            f"allocation entropy has log of a nonpositive argument at index {idx}"
-        )
+        raise _alloc_error(alloc)
     return kappa_u, kappa_w, float(alloc.sum())
 
 
-def _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w) -> float:
+def _alloc_error(alloc: np.ndarray) -> NumericalDomainError:
+    idx = tuple(np.argwhere(~np.isfinite(alloc))[0])
+    return NumericalDomainError(
+        f"allocation entropy has log of a nonpositive argument at index {idx}"
+    )
+
+
+def _bound(
+    u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w, gammaln_w=special.gammaln
+) -> float:
     """Lower bound of one state from its Gamma posteriors and ``_counts``;
-    ``data`` is -sum(log X_mt!)."""
+    ``data`` is -sum(log X_mt!) and ``gammaln_w`` gives log Gamma of the
+    activation shapes."""
     recon = float((u.mean @ w.mean).sum())
     data -= alloc
 
@@ -394,7 +411,7 @@ def _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w) -> float:
     prior_w = float((np.log(rate_w) - rate_w * w.mean).sum())
 
     ent_u = float(_gamma_entropy(u).sum())
-    ent_w = float(_gamma_entropy(w).sum())
+    ent_w = float(_gamma_entropy(w, gammaln_w).sum())
 
     total = -recon + data + cross_u + cross_w + prior_u + prior_w + ent_u + ent_w
     if not math.isfinite(total):
@@ -402,17 +419,98 @@ def _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w) -> float:
     return total
 
 
-def _gamma_entropy(g: _Gamma) -> np.ndarray:
+def _gamma_entropy(g: _Gamma, gammaln=special.gammaln) -> np.ndarray:
     return (
         -(g.shape - 1.0) * g.psi
         + np.log(_floored(g.scale))
         + g.shape
-        + special.gammaln(g.shape)
+        + gammaln(g.shape)
     )
 
 
 def _floored(arr: np.ndarray) -> np.ndarray:
     return np.maximum(arr, EPS)
+
+
+class _AllColumns:
+    """The sweep kernels behind ``update_eta``, ``update_variational`` and
+    ``lower_bound``, run on every column of the observation."""
+
+    eta = staticmethod(_eta)
+    digamma = staticmethod(special.psi)
+    gammaln = staticmethod(special.gammaln)
+
+    def __init__(self, X: np.ndarray):
+        self.x = X[:, None, :]  # broadcasts against eta
+
+    def counts(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        return _counts(self.x, eta)
+
+    def allocation(self, eta, log_bases, log_activations) -> np.ndarray:
+        """The M x K x T allocation of the sweep that returned ``eta``."""
+        return eta
+
+
+class _DataColumns:
+    """The same kernels with their per-entry special functions run only on
+    the columns of the observation that hold data.
+
+    On an all-zero column E(kappa) is 0 in every sweep: the allocation
+    there is multiplied by 0 and reaches no update, and the activation
+    shape is exactly 1, so its psi and log Gamma are constants.  Sums over
+    time still run on full-length buffers that hold zeros (or the
+    constants) on those columns, since pairwise summation depends on
+    where the zeros sit; each sweep overwrites only the data columns.
+    """
+
+    def __init__(self, X: np.ndarray, K: int, cols: np.ndarray):
+        M, T = X.shape
+        if cols.size == 1:
+            # numpy sums a width-1 M x K x 1 array over K in another order
+            # than a wider one; a zero column beside it keeps eta exact
+            cols = np.union1d(cols, (cols + 1) % T)
+        self.cols = cols
+        self.x = self._take(X)[:, None, :]
+        self.kappa = np.zeros((M, K, T))  # E(kappa), then the allocation term
+        self.psi = np.full((K, T), special.psi(1.0))
+        self.log_gamma = np.full((K, T), special.gammaln(1.0))
+
+    def eta(self, log_bases: np.ndarray, log_activations: np.ndarray) -> np.ndarray:
+        """The allocation on the data columns, M x K x len(cols)."""
+        # every logit is finite iff both log means are: a sum of two
+        # finite log means cannot overflow
+        if not (np.isfinite(log_bases).all() and np.isfinite(log_activations).all()):
+            _eta(log_bases, log_activations)  # raises as the full-width sweep does
+        return _eta(log_bases, self._take(log_activations))
+
+    def counts(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        e_kappa = self.x * eta
+        self.kappa[:, :, self.cols] = e_kappa
+        kappa_u, kappa_w = self.kappa.sum(axis=2), self.kappa.sum(axis=0)
+        alloc = special.xlogy(e_kappa, eta, out=e_kappa)
+        self.kappa[:, :, self.cols] = alloc
+        if not np.isfinite(alloc).all():
+            raise _alloc_error(self.kappa)
+        return kappa_u, kappa_w, float(self.kappa.sum())
+
+    def digamma(self, shape: np.ndarray) -> np.ndarray:
+        self.psi[:, self.cols] = special.psi(self._take(shape))
+        return self.psi
+
+    def gammaln(self, shape: np.ndarray) -> np.ndarray:
+        self.log_gamma[:, self.cols] = special.gammaln(self._take(shape))
+        return self.log_gamma
+
+    def _take(self, arr: np.ndarray) -> np.ndarray:
+        # C order, as the full-width arrays are: numpy sums eta over K in
+        # another order when K is the contiguous axis
+        return np.take(arr, self.cols, axis=1)
+
+    def allocation(self, eta, log_bases, log_activations) -> np.ndarray:
+        """The full M x K x T allocation from the log means that produced
+        ``eta``; the buffers go first so peak memory does not grow."""
+        del self.kappa, self.psi, self.log_gamma
+        return _eta(log_bases, log_activations)
 
 
 def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
@@ -421,7 +519,9 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
     A sweep is allocation update, Gamma updates, then the bound, run on
     plain arrays through the kernels behind ``update_eta``,
     ``update_variational`` and ``lower_bound``; the expected-count sums
-    are shared by the Gamma step and the bound.  Stops when the
+    are shared by the Gamma step and the bound.  When some columns of X
+    are all zero the kernels' special functions run only on the others
+    (``_DataColumns``), with bit-identical results.  Stops when the
     relative bound change drops below ``opts.tol`` or after
     ``opts.max_iters`` sweeps; a non-converged model is returned flagged,
     not raised.  An all-zero observation short-circuits after the first
@@ -437,7 +537,8 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
     log_bases, log_activations = init.log_bases, init.log_activations
     activations = init.activations
     del init  # frees the starting eta and Gamma state, which no sweep reads
-    x = X[:, None, :]  # broadcasts against eta
+    cols = np.flatnonzero(X.any(axis=0))
+    kernels = _DataColumns(X, K, cols) if cols.size < X.shape[1] else _AllColumns(X)
     data = -float(special.gammaln(X + 1.0).sum())
     zero_mass = float(X.sum()) == 0.0
 
@@ -445,11 +546,16 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
     converged = False
     previous = None
     for _ in range(opts.max_iters):
-        eta = _eta(log_bases, log_activations)
-        kappa_u, kappa_w, alloc = _counts(x, eta)
-        u, w = _gamma_step(kappa_u, kappa_w, activations, rate_u, rate_w)
+        logs = log_bases, log_activations
+        eta = kernels.eta(*logs)
+        kappa_u, kappa_w, alloc = kernels.counts(eta)
+        u, w = _gamma_step(
+            kappa_u, kappa_w, activations, rate_u, rate_w, kernels.digamma
+        )
         log_bases, log_activations, activations = u.log_mean, w.log_mean, w.mean
-        elbo = _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w)
+        elbo = _bound(
+            u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w, kernels.gammaln
+        )
         trace.append(elbo)
         if zero_mass:
             converged = True
@@ -462,7 +568,7 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
 
     return update_control(FactorModel(
         **_fields(u, w),
-        eta=eta,
+        eta=kernels.allocation(eta, *logs),
         ctrl_alpha=ctrl_alpha,
         ctrl_beta=ctrl_beta,
         K=K,

@@ -168,6 +168,13 @@ def _check_loop(sec: dict, name: str, diags: list[str]) -> None:
         diags.append(f"{name}.tol must be > 0, got {tol!r}")
 
 
+def _check_seed(sec: dict, prefix: str, diags: list[str]) -> None:
+    """An optional seed, at the top level or in a section."""
+    seed = sec.get("seed", 0)
+    if not _is_int(seed) or seed < 0:
+        diags.append(f"{prefix}seed must be a nonnegative integer, got {seed!r}")
+
+
 def validate_document(doc: dict) -> list[str]:
     diags: list[str] = []
     if not isinstance(doc, dict):
@@ -177,9 +184,7 @@ def validate_document(doc: dict) -> list[str]:
     if stage is not None and stage not in STAGES:
         diags.append(f"stage must be one of {'|'.join(STAGES)}, got {stage!r}")
 
-    seed = doc.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        diags.append(f"seed must be a nonnegative integer, got {seed!r}")
+    _check_seed(doc, "", diags)
 
     for name in _DEFAULTS:
         if doc.get(name) is not None and not isinstance(doc[name], dict):
@@ -208,6 +213,7 @@ def validate_document(doc: dict) -> list[str]:
             diags.append(
                 f"register.residual_strength must lie in [0, 1], got {strength!r}"
             )
+        _check_seed(reg, "register.", diags)
 
     fact = doc.get("factorization")
     if isinstance(fact, dict):
@@ -225,6 +231,7 @@ def validate_document(doc: dict) -> list[str]:
                 f"factorization.k_max must be an integer >= k_min, got {k_max!r}"
             )
         _check_loop(fact, "factorization", diags)
+        _check_seed(fact, "factorization.", diags)
 
     if isinstance(doc.get("partition"), dict):
         _check_loop(doc["partition"], "partition", diags)

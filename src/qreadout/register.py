@@ -185,8 +185,12 @@ class ObservationMatrix:
 
 def component_windows(horizon: int, dim: int) -> list[slice]:
     """Time window assigned to each component (window i hosts component i)."""
-    edges = np.linspace(0, horizon, dim + 1).astype(int)
+    edges = _window_edges(horizon, dim)
     return [slice(edges[i], edges[i + 1]) for i in range(dim)]
+
+
+def _window_edges(horizon: int, dim: int) -> np.ndarray:
+    return np.linspace(0, horizon, dim + 1).astype(int)
 
 
 def _bump(length: int) -> np.ndarray:
@@ -309,8 +313,15 @@ def spectrum_from_row(row: np.ndarray, horizon: int, dim: int) -> np.ndarray:
     to one (all-zero rows map to the zero vector).
     """
     row = np.asarray(row, dtype=float)
-    windows = component_windows(horizon, dim)
-    power = np.array([float(np.sum(row[w] ** 2)) for w in windows])
+    # window i is row[edges[i]:edges[i + 1]], cut at the row's end as a slice is
+    edges = np.minimum(_window_edges(horizon, dim), len(row))
+    starts, lengths = edges[:-1], np.diff(edges)
+    power = np.zeros(dim)
+    # one (windows, length) gather per window length: summing its rows adds
+    # each window in the order np.sum adds it alone
+    for length in np.unique(lengths):
+        group = np.flatnonzero(lengths == length)
+        power[group] = (row[starts[group, None] + np.arange(length)] ** 2).sum(axis=1)
     total = power.sum()
     return power / total if total > 0 else power
 

@@ -6,13 +6,31 @@ import numpy as np
 import pytest
 from scipy import optimize, special
 
-from qreadout import bnmf
+from qreadout import bnmf, register
 from qreadout.errors import DimensionError, ValidationError
 
 
 def random_matrix(seed, M=2, T=32, scale=2.0):
     rng = np.random.default_rng(seed)
     return rng.random((M, T)) * scale
+
+
+def zeroed(X, index):
+    """A copy of X with ``X[index]`` set to zero."""
+    X = X.copy()
+    X[index] = 0.0
+    return X
+
+
+def some_columns(seed, T):
+    """Index of about half of T columns."""
+    return np.s_[:, np.random.default_rng(seed).random(T) < 0.5]
+
+
+def readme_observation():
+    """The README config's observation: 9 of its 600 columns hold data."""
+    cfg = register.RegisterConfig(horizon=600, dim=512, residual_strength=0.3, seed=7)
+    return register.observe(register.generate_input(cfg), cfg).values
 
 
 def generalized_kl(X, R):
@@ -269,6 +287,11 @@ class TestFit:
         with pytest.raises(ValidationError, match="tol"):
             bnmf.FitOptions(tol=tol)
 
+    @pytest.mark.parametrize("seed", [True, "x", None, 1.5, -1])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(ValidationError, match="seed"):
+            bnmf.FitOptions(seed=seed)
+
     def test_numpy_float_tol_accepted(self):
         assert bnmf.FitOptions(tol=np.float64(1e-6)).tol == 1e-6
 
@@ -313,7 +336,28 @@ class TestFitMatchesStepFunctions:
             bnmf.FitOptions(max_iters=300, tol=1e-8, seed=seed),
             bnmf.FitOptions(max_iters=2, tol=1e-15, seed=seed + 10),
         )
-    ] + [(np.zeros((2, 16)), K, bnmf.FitOptions(max_iters=50, seed=K)) for K in (1, 2, 3)]
+    ] + [(np.zeros((2, 16)), K, bnmf.FitOptions(max_iters=50, seed=K)) for K in (1, 2, 3)] + [
+        # all-zero columns run on the data columns only
+        (X, K, opts)
+        for seed, X in enumerate([
+            zeroed(random_matrix(20, M=2, T=32, scale=2.0), some_columns(20, 32)),
+            zeroed(random_matrix(21, M=3, T=40, scale=20.0), some_columns(21, 40)),
+            zeroed(random_matrix(22, M=3, T=17, scale=20.0), (1, 5)),
+            readme_observation(),
+        ], start=20)
+        for K in (1, 2, 3)
+        for opts in (
+            bnmf.FitOptions(max_iters=300, tol=1e-8, seed=seed),
+            bnmf.FitOptions(max_iters=2, tol=1e-15, seed=seed + 10),
+        )
+    ] + [
+        # at K >= 8 numpy's sum over K depends on the memory layout
+        (X, 9, bnmf.FitOptions(max_iters=300, tol=1e-8, seed=30))
+        for X in (
+            zeroed(random_matrix(30, M=2, T=32, scale=2.0), some_columns(30, 32)),
+            zeroed(random_matrix(32, M=2, T=24), np.s_[:, np.arange(24) != 7]),
+        )
+    ]
 
     @pytest.mark.parametrize("X,K,opts", CASES)
     def test_bit_identical(self, X, K, opts):

@@ -178,6 +178,12 @@ BAD_ENTRIES = [
     ("factorization", "max_iters", True),
     ("recovery", "k1", True),
     (None, "seed", True),
+    ("register", "seed", "x"),
+    ("register", "seed", -1),
+    ("register", "seed", True),
+    ("factorization", "seed", -1),
+    ("factorization", "seed", [1]),
+    ("factorization", "seed", 2.5),
 ]
 
 

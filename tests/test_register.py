@@ -120,6 +120,25 @@ class TestStates:
             np.flatnonzero(spec), np.flatnonzero(gt.input_weights)
         )
 
+    @pytest.mark.parametrize(
+        "horizon,dim",
+        # window lengths 6/7, 1/2, 666/667 and 0/1 (horizon < dim)
+        [(20000, 3000), (600, 512), (2000, 3), (100, 300), (5, 7)],
+    )
+    def test_spectrum_from_row_matches_window_loop(self, horizon, dim):
+        rng = np.random.default_rng(horizon + dim)
+        row = rng.random(horizon) * np.exp(5.0 * rng.normal(size=horizon))
+        power = np.array([
+            float(np.sum(row[w] ** 2))
+            for w in register.component_windows(horizon, dim)
+        ])
+        want = power / power.sum()
+        got = register.spectrum_from_row(row, horizon, dim)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        if horizon < dim:
+            assert np.count_nonzero(got == 0.0) >= dim - horizon
+
 
 class TestSerialization:
     def test_csv_header_and_roundtrip(self, tmp_path):
