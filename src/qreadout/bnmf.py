@@ -31,7 +31,7 @@ EPS = 1e-12  # floor for denominators and log arguments
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Iteration controls for a variational fit."""
+    """Iteration controls of a fit: the factorization's, and the partition's."""
 
     max_iters: int = 500
     tol: float = 1e-6

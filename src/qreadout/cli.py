@@ -50,41 +50,39 @@ _DEFAULTS = {
 
 @dataclass
 class RunConfig:
-    """Resolved configuration for one stage execution."""
+    """Resolved configuration for one stage execution.
+
+    Construction resolves ``document`` once, through the same path as
+    ``validate_document``, into the typed values the stages read; any
+    violation raises ``ValidationError`` before a stage runs.  ``seed`` and
+    ``output_dir`` override the document's when not ``None``; afterwards
+    they hold the effective seed and directory.
+    """
 
     stage: str
-    seed: int
-    output_dir: Path
+    seed: int | None
+    output_dir: Path | str | None
     document: dict
+    register: register.RegisterConfig = field(init=False)
+    factorization: bnmf.FitOptions = field(init=False)
+    orders: tuple[int, int] = field(init=False)
+    partition: bnmf.FitOptions = field(init=False)
+    transform: tuple[int | None, int, bool] = field(init=False)
+    k1: int | None = field(init=False)
+    sweep: tuple[float, list] = field(init=False)
 
-    def section(self, name: str) -> dict:
-        merged = dict(_DEFAULTS.get(name, {}))
-        merged.update(self.document.get(name, {}))
-        return merged
-
-    def register_config(self) -> register.RegisterConfig:
-        sec = self.section("register")
-        return register.RegisterConfig(
-            horizon=int(sec["horizon"]),
-            dim=int(sec["dim"]),
-            residual_strength=float(sec["residual_strength"]),
-            seed=int(sec.get("seed", self.seed)),
-        )
-
-    def fit_options(self) -> bnmf.FitOptions:
-        sec = self.section("factorization")
-        return bnmf.FitOptions(
-            max_iters=int(sec["max_iters"]),
-            tol=float(sec["tol"]),
-            seed=int(sec.get("seed", self.seed)),
-        )
-
-    def order_range(self) -> tuple[int, int]:
-        sec = self.section("factorization")
-        if "k" in sec and sec["k"] is not None:
-            k = int(sec["k"])
-            return k, k
-        return int(sec["k_min"]), int(sec["k_max"])
+    def __post_init__(self):
+        values, diags = _resolve(self.document, self.seed, self.output_dir)
+        if diags:
+            raise ValidationError("; ".join(diags))
+        self.seed = values["seed"]
+        self.output_dir = Path(values["output_dir"])
+        self.register = values["register"]
+        self.factorization, self.orders = values["factorization"]
+        self.partition = values["partition"]
+        self.transform = values["transform"]
+        self.k1 = values["recovery"]
+        self.sweep = values["sweep"]
 
 
 @dataclass
@@ -135,17 +133,26 @@ def _load(cfg: RunConfig, name: str, producer: str, from_dict):
         ) from exc
 
 
-def validate(config_path: str | Path) -> list[str]:
-    """Schema-check a config document; returns all violations found."""
-    path = Path(config_path)
+def _read_config(path: str | Path):
+    """The parsed JSON of a config file; an unreadable file is a validation failure."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+
+
+def validate(config_path: str | Path) -> list[str]:
+    """Schema-check a config file; returns all violations found."""
+    try:
+        return validate_document(_read_config(config_path))
     except json.JSONDecodeError as exc:
         return [f"config is not valid JSON: {exc}"]
-    return validate_document(doc)
+
+
+def validate_document(doc) -> list[str]:
+    """Every violation in a config document, at most one per section."""
+    return _resolve(doc)[1]
 
 
 def _is_int(value) -> bool:
@@ -158,116 +165,107 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _check_loop(sec: dict, name: str, diags: list[str]) -> None:
-    """Iteration cap and tolerance of an iterative fit section."""
-    max_iters = sec.get("max_iters", _DEFAULTS[name]["max_iters"])
-    if not _is_int(max_iters) or max_iters < 1:
-        diags.append(f"{name}.max_iters must be an integer >= 1, got {max_iters!r}")
-    tol = sec.get("tol", _DEFAULTS[name]["tol"])
-    if not _is_real(tol) or not tol > 0:
-        diags.append(f"{name}.tol must be > 0, got {tol!r}")
+def _check(ok: bool, message: str) -> None:
+    if not ok:
+        raise ValidationError(message)
 
 
-def _check_seed(sec: dict, prefix: str, diags: list[str]) -> None:
-    """An optional seed, at the top level or in a section."""
-    seed = sec.get("seed", 0)
-    if not _is_int(seed) or seed < 0:
-        diags.append(f"{prefix}seed must be a nonnegative integer, got {seed!r}")
+def _register(sec: dict, seed: int) -> register.RegisterConfig:
+    reg = register.RegisterConfig(
+        horizon=sec["horizon"],
+        dim=sec["dim"],
+        residual_strength=sec["residual_strength"],
+        seed=sec.get("seed", seed),
+    )
+    # one time window per component: fewer steps than components leaves
+    # some components unobservable (the library allows it, the CLI does not)
+    _check(reg.horizon >= reg.dim, f"horizon must be >= dim ({reg.dim}), got {reg.horizon}")
+    return reg
 
 
-def validate_document(doc: dict) -> list[str]:
-    diags: list[str] = []
+def _factorization(sec: dict, seed: int) -> tuple[bnmf.FitOptions, tuple[int, int]]:
+    opts = bnmf.FitOptions(sec["max_iters"], sec["tol"], sec.get("seed", seed))
+    k_min, k_max, k = sec["k_min"], sec["k_max"], sec.get("k")
+    _check(_is_int(k_min) and k_min >= 1, f"k_min must be an integer >= 1, got {k_min!r}")
+    _check(_is_int(k_max) and k_max >= k_min, f"k_max must be an integer >= k_min, got {k_max!r}")
+    _check(k is None or _is_int(k) and k >= 1, f"k must be an integer >= 1, got {k!r}")
+    return opts, ((k_min, k_max) if k is None else (k, k))
+
+
+def _transform(sec: dict, seed: int) -> tuple[int | None, int, bool]:
+    shift, k, unit = sec.get("shift"), sec["k"], sec["unit_window"]
+    _check(shift is None or _is_int(shift) and shift >= 1,
+           f"shift must be null or an integer >= 1, got {shift!r}")
+    _check(_is_int(k), f"k must be an integer, got {k!r}")
+    _check(isinstance(unit, bool), f"unit_window must be true or false, got {unit!r}")
+    return shift, k, unit
+
+
+def _recovery(sec: dict, seed: int) -> int | None:
+    k1 = sec["k1"]
+    _check(k1 is None or _is_int(k1) and k1 >= 1, f"k1 must be an integer >= 1, got {k1!r}")
+    return k1
+
+
+def _sweep(sec: dict, seed: int) -> tuple[float, list]:
+    r_sx, deltas = sec["r_sx"], sec["deltas"]
+    _check(_is_real(r_sx), f"r_sx must be a real number, got {r_sx!r}")
+    _check(isinstance(deltas, list) and deltas and all(map(_is_real, deltas)),
+           f"deltas must be a nonempty list of reals, got {deltas!r}")
+    return r_sx, deltas
+
+
+# each section's builder, called with the section over its defaults and the run seed
+_SECTIONS = {
+    "register": _register,
+    "factorization": _factorization,
+    "partition": lambda sec, seed: bnmf.FitOptions(sec["max_iters"], sec["tol"], seed),
+    "transform": _transform,
+    "recovery": _recovery,
+    "sweep": _sweep,
+}
+
+
+def _resolve(doc, seed=None, output_dir=None) -> tuple[dict, list[str]]:
+    """Build the typed value of every config section from one document.
+
+    ``seed`` and ``output_dir`` override the document's unless ``None``.
+    Returns the values by name and the diagnostics: the document-level
+    ones, then the first error of each bad section.  The values are
+    complete only when there are no diagnostics.
+    """
     if not isinstance(doc, dict):
-        return ["config root must be a JSON object"]
-
+        return {}, ["config root must be a JSON object"]
+    diags: list[str] = []
     stage = doc.get("stage")
     if stage is not None and stage not in STAGES:
         diags.append(f"stage must be one of {'|'.join(STAGES)}, got {stage!r}")
+    for name, stages in (("register", ("simulate", "pipeline")), ("sweep", ("sweep",))):
+        if stage in stages and doc.get(name) is None:
+            diags.append(f"stage {stage!r} requires a '{name}' section")
 
-    _check_seed(doc, "", diags)
+    # the document's seed and the override, each bad value reported once
+    seeds = (doc.get("seed", 0), seed)
+    bad = [s for s in seeds if s is not None and not (_is_int(s) and s >= 0)]
+    diags += dict.fromkeys(f"seed must be a nonnegative integer, got {s!r}" for s in bad)
+    run_seed = seeds[0] if seed is None else seed
+    if bad:
+        run_seed = 0  # a stand-in, so the sections still report their own errors
+    out = doc.get("output_dir", "out")
+    if not isinstance(out, str):
+        diags.append(f"output_dir must be a string, got {out!r}")
+    values = {"seed": run_seed, "output_dir": output_dir or out}
 
-    for name in _DEFAULTS:
-        if doc.get(name) is not None and not isinstance(doc[name], dict):
+    for name, build in _SECTIONS.items():
+        sec = doc.get(name)
+        if sec is not None and not isinstance(sec, dict):
             diags.append(f"'{name}' must be an object")
-
-    reg = doc.get("register")
-    if stage in ("simulate", "pipeline") and reg is None:
-        diags.append(f"stage {stage!r} requires a 'register' section")
-    if isinstance(reg, dict):
-        horizon = reg.get("horizon", _DEFAULTS["register"]["horizon"])
-        dim = reg.get("dim", _DEFAULTS["register"]["dim"])
-        strength = reg.get(
-            "residual_strength", _DEFAULTS["register"]["residual_strength"]
-        )
-        if not _is_int(horizon) or horizon < 1:
-            diags.append(f"register.horizon must be an integer >= 1, got {horizon!r}")
-        if not _is_int(dim) or dim < 1:
-            diags.append(f"register.dim must be an integer >= 1, got {dim!r}")
-        elif _is_int(horizon) and horizon < dim:
-            # one time window per component: fewer steps than components
-            # leaves some components unobservable
-            diags.append(
-                f"register.horizon must be >= register.dim ({dim}), got {horizon!r}"
-            )
-        if not _is_real(strength) or not 0 <= strength <= 1:
-            diags.append(
-                f"register.residual_strength must lie in [0, 1], got {strength!r}"
-            )
-        _check_seed(reg, "register.", diags)
-
-    fact = doc.get("factorization")
-    if isinstance(fact, dict):
-        if "k" in fact and fact["k"] is not None:
-            if not _is_int(fact["k"]) or fact["k"] < 1:
-                diags.append(
-                    f"factorization.k must be an integer >= 1, got {fact['k']!r}"
-                )
-        k_min = fact.get("k_min", _DEFAULTS["factorization"]["k_min"])
-        k_max = fact.get("k_max", _DEFAULTS["factorization"]["k_max"])
-        if not _is_int(k_min) or k_min < 1:
-            diags.append(f"factorization.k_min must be an integer >= 1, got {k_min!r}")
-        if not _is_int(k_max) or (_is_int(k_min) and k_max < k_min):
-            diags.append(
-                f"factorization.k_max must be an integer >= k_min, got {k_max!r}"
-            )
-        _check_loop(fact, "factorization", diags)
-        _check_seed(fact, "factorization.", diags)
-
-    if isinstance(doc.get("partition"), dict):
-        _check_loop(doc["partition"], "partition", diags)
-
-    trans = doc.get("transform")
-    if isinstance(trans, dict):
-        shift = trans.get("shift")
-        if shift is not None and (not _is_int(shift) or shift < 1):
-            diags.append(
-                f"transform.shift must be null or an integer >= 1, got {shift!r}"
-            )
-        k = trans.get("k", _DEFAULTS["transform"]["k"])
-        if not _is_int(k):
-            diags.append(f"transform.k must be an integer, got {k!r}")
-        unit = trans.get("unit_window", _DEFAULTS["transform"]["unit_window"])
-        if not isinstance(unit, bool):
-            diags.append(f"transform.unit_window must be true or false, got {unit!r}")
-
-    rec = doc.get("recovery")
-    if isinstance(rec, dict):
-        k1 = rec.get("k1")
-        if k1 is not None and (not _is_int(k1) or k1 < 1):
-            diags.append(f"recovery.k1 must be an integer >= 1, got {k1!r}")
-
-    sweep = doc.get("sweep")
-    if stage == "sweep" and sweep is None:
-        diags.append("stage 'sweep' requires a 'sweep' section")
-    if isinstance(sweep, dict):
-        r_sx = sweep.get("r_sx", _DEFAULTS["sweep"]["r_sx"])
-        if not _is_real(r_sx):
-            diags.append(f"sweep.r_sx must be a real number, got {r_sx!r}")
-        deltas = sweep.get("deltas", _DEFAULTS["sweep"]["deltas"])
-        if not isinstance(deltas, list) or not deltas or not all(map(_is_real, deltas)):
-            diags.append(f"sweep.deltas must be a nonempty list of reals, got {deltas!r}")
-
-    return diags
+            continue
+        try:
+            values[name] = build({**_DEFAULTS[name], **(sec or {})}, run_seed)
+        except (ConfigurationError, ValidationError) as exc:
+            diags.append(f"{name}: {exc}")
+    return values, diags
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +273,11 @@ def validate_document(doc: dict) -> list[str]:
 
 
 def _stage_simulate(cfg: RunConfig, record: RunRecord) -> dict:
-    reg_cfg = cfg.register_config()
-    gt = register.generate_input(reg_cfg)
-    obs = register.observe(gt, reg_cfg)
+    gt = register.generate_input(cfg.register)
+    obs = register.observe(gt, cfg.register)
 
     gt_path = cfg.output_dir / "ground_truth.json"
-    write_json(register.ground_truth_to_dict(gt, reg_cfg), gt_path)
+    write_json(register.ground_truth_to_dict(gt, cfg.register), gt_path)
     gt_csv = cfg.output_dir / "ground_truth.csv"
     register.channels_to_csv(gt.source_rows, gt_csv)
     obs_csv = cfg.output_dir / "observation.csv"
@@ -307,10 +304,9 @@ def _load_ground_truth(cfg: RunConfig) -> tuple[register.GroundTruth, register.R
 
 def _stage_fit(cfg: RunConfig, record: RunRecord, obs=None) -> bnmf.FitResult:
     obs = obs or _load_observation(cfg)
-    opts = cfg.fit_options()
-    k_min, k_max = cfg.order_range()
+    k_min, k_max = cfg.orders
     k_star, model, scores = bnmf.select_order(
-        obs.values, k_min, k_max, opts, with_trace=True
+        obs.values, k_min, k_max, cfg.factorization, with_trace=True
     )
     model = model.result()
 
@@ -343,20 +339,16 @@ def _load_model(cfg: RunConfig) -> bnmf.FitResult:
 
 
 def _window_for(cfg: RunConfig, K: int) -> tuple[transforms.WindowSpec, int]:
-    sec = cfg.section("transform")
-    shift = sec.get("shift")
+    shift, k, unit_window = cfg.transform
     spec = transforms.WindowSpec(
-        shift=int(shift) if shift is not None else K,
-        size=K,
-        unit_window=bool(sec.get("unit_window", True)),
+        shift=K if shift is None else shift, size=K, unit_window=unit_window
     )
-    return spec, int(sec.get("k", 0))
+    return spec, k
 
 
 def _stage_partition(cfg: RunConfig, record: RunRecord, model=None) -> part_mod.BasisPartition:
     model = model or _load_model(cfg)
     K = model.K
-    sec = cfg.section("partition")
 
     if K < register.NUM_SOURCES:
         part = part_mod.BasisPartition(assignment=np.ones(K, dtype=int))
@@ -370,9 +362,9 @@ def _stage_partition(cfg: RunConfig, record: RunRecord, model=None) -> part_mod.
         tensors = part_mod.fit_partition(
             S,
             K,
-            max_iters=int(sec["max_iters"]),
-            tol=float(sec["tol"]),
-            seed=cfg.seed,
+            max_iters=cfg.partition.max_iters,
+            tol=cfg.partition.tol,
+            seed=cfg.partition.seed,
             init_bases=np.abs(c_b),
             init_activations=model.activations,
         )
@@ -454,8 +446,7 @@ def _stage_recover(
         )
         record.artifacts["clustered_bases"] = clustered_path
 
-        sec = cfg.section("recovery")
-        k1 = sec.get("k1") or recovery.choose_carrier(K, sizes[0])
+        k1 = cfg.k1 or recovery.choose_carrier(K, sizes[0])
         state = recovery.build_superposition(part, k1)
         out_state, table = recovery.extract_target(state, k1, K)
         result = recovery.finalize(
@@ -492,7 +483,7 @@ def _stage_verify(cfg: RunConfig, record: RunRecord, model=None, part=None, gt=N
     if gt is None:
         gt, reg_cfg = _load_ground_truth(cfg)
     else:
-        reg_cfg = cfg.register_config()
+        reg_cfg = cfg.register
     model = model or _load_model(cfg)
     part = part or _load_partition(cfg)
 
@@ -520,8 +511,9 @@ def _stage_verify(cfg: RunConfig, record: RunRecord, model=None, part=None, gt=N
 
 
 def _stage_sweep(cfg: RunConfig, record: RunRecord) -> list[tuple[float, float]]:
-    sec = cfg.section("sweep")
-    rows = snr.sweep_curve(float(sec["r_sx"]), [float(d) for d in sec["deltas"]])
+    r_sx, deltas = cfg.sweep
+    # float(d) keeps sweep.csv reading 1.0 for an integer delta
+    rows = snr.sweep_curve(r_sx, [float(d) for d in deltas])
     sweep_path = cfg.output_dir / "sweep.csv"
     snr.sweep_to_csv(rows, sweep_path)
     record.artifacts["sweep"] = sweep_path
@@ -565,16 +557,11 @@ def run(cfg: RunConfig) -> RunRecord:
 
 
 def _build_config(args, stage: str) -> RunConfig:
-    doc = {}
-    if args.config:
-        diags = validate(args.config)
-        if diags:
-            raise ValidationError("; ".join(diags))
-        with open(args.config) as fh:
-            doc = json.load(fh)
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    out = Path(args.out) if args.out else Path(doc.get("output_dir", "out"))
-    return RunConfig(stage=stage, seed=seed, output_dir=out, document=doc)
+    try:
+        doc = _read_config(args.config) if args.config else {}
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    return RunConfig(stage=stage, seed=args.seed, output_dir=args.out, document=doc)
 
 
 def _parser() -> argparse.ArgumentParser:

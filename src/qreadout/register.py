@@ -18,6 +18,7 @@ register state.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -61,6 +62,15 @@ class RegisterConfig:
     num_sources: int = NUM_SOURCES
 
     def __post_init__(self):
+        for name in ("horizon", "dim", "seed", "num_sources"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+        s = self.residual_strength
+        if isinstance(s, bool) or not isinstance(s, numbers.Real):
+            raise ConfigurationError(f"residual_strength must be a real number, got {s!r}")
+        # stored as a float, so the written config reads 0.0 for 0
+        object.__setattr__(self, "residual_strength", float(s))
         if self.num_sources != NUM_SOURCES:
             raise ConfigurationError(
                 f"num_sources must be exactly {NUM_SOURCES}, got {self.num_sources}"

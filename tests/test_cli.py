@@ -1,9 +1,12 @@
+import io
 import json
 import shutil
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qreadout import cli
 
@@ -70,6 +73,12 @@ class TestValidate:
         path.write_text("{not json")
         diags = cli.validate(path)
         assert any("JSON" in d for d in diags)
+
+    def test_run_config_rejects_fractional_max_iters(self, tmp_path):
+        doc = config_doc(tmp_path)
+        doc["factorization"]["max_iters"] = 2.7
+        with pytest.raises(cli.ValidationError, match="max_iters"):
+            cli.RunConfig(stage="fit", seed=3, output_dir=tmp_path / "out", document=doc)
 
 
 class TestStages:
@@ -184,6 +193,8 @@ BAD_ENTRIES = [
     ("factorization", "seed", -1),
     ("factorization", "seed", [1]),
     ("factorization", "seed", 2.5),
+    (None, "output_dir", 5),
+    (None, "output_dir", None),
 ]
 
 
@@ -271,6 +282,22 @@ class TestMain:
         bad = write_config(tmp_path, doc)
         assert cli.main(["validate", str(bad)]) == 2
 
+    def test_validate_subcommand_reports_bad_output_dir(self, tmp_path, capsys):
+        doc = config_doc(tmp_path)
+        doc["output_dir"] = 5
+        assert cli.main(["validate", str(write_config(tmp_path, doc))]) == 2
+        assert "output_dir" in capsys.readouterr().out
+
+    def test_bad_seed_flag_exits_2_before_any_stage(self, tmp_path, capsys):
+        # the register's own seed lets simulate run on a bad run seed
+        doc = config_doc(tmp_path)
+        doc["register"]["seed"] = 5
+        path = write_config(tmp_path, doc)
+        assert cli.main(["pipeline", "--config", str(path), "--seed", "-1"]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert not (tmp_path / "out").exists()
+
     def test_pipeline_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, config_doc(tmp_path))
         assert cli.main(["pipeline", "--config", str(path)]) == 0
@@ -297,3 +324,62 @@ class TestMain:
         cli.main(["simulate", "--config", str(path), "--seed", "2"])
         b = (tmp_path / "out" / "observation.json").read_bytes()
         assert a != b
+
+
+# documents built from the schema's own names, holding arbitrary JSON values
+SECTION_KEYS = sorted(
+    {key for sec in cli._DEFAULTS.values() for key in sec} | {"seed", "k", "shift"}
+)
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.integers(1, 700),
+    st.integers(),
+    st.floats(),
+    st.text(max_size=4),
+    st.sampled_from(cli.STAGES),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=6,
+)
+SECTIONS = st.dictionaries(st.sampled_from(SECTION_KEYS), JSON_VALUES, max_size=4)
+DOCUMENTS = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "stage": JSON_VALUES,
+            "seed": JSON_VALUES,
+            "output_dir": st.one_of(st.text(max_size=4), JSON_VALUES),
+            **{name: st.one_of(SECTIONS, JSON_VALUES) for name in cli._DEFAULTS},
+        },
+    ),
+    JSON_VALUES,
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(doc=DOCUMENTS)
+def test_validate_and_run_config_resolve_alike(doc, tmp_path_factory):
+    diags = cli.validate_document(doc)
+    assert isinstance(diags, list) and all(isinstance(d, str) for d in diags)
+    seed = doc.get("seed", 0) if isinstance(doc, dict) else 0
+    try:
+        cli.RunConfig(stage="pipeline", seed=seed, output_dir=None, document=doc)
+        built = True
+    except cli.ValidationError:
+        built = False
+    assert built == (diags == [])
+
+    path = tmp_path_factory.getbasetemp() / "drawn.json"
+    path.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = cli.main(["validate", str(path)])
+    assert code in (0, 2)
+    assert code == (2 if diags else 0)
+    if err.getvalue():
+        assert isinstance(json.loads(err.getvalue()), dict)

@@ -32,6 +32,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="num_sources"):
             make_cfg(num_sources=3)
 
+    @pytest.mark.parametrize(
+        "name,value",
+        [
+            ("horizon", 40.5),
+            ("horizon", "x"),
+            ("horizon", True),
+            ("dim", True),
+            ("seed", 1.5),
+            ("seed", "x"),
+            ("residual_strength", "0.3"),
+            ("residual_strength", True),
+        ],
+    )
+    def test_rejects_wrong_type(self, name, value):
+        with pytest.raises(ConfigurationError, match=name):
+            make_cfg(**{name: value})
+
 
 class TestGenerateInput:
     def test_zero_residual_gives_zero_row(self):
