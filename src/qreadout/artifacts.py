@@ -1,4 +1,4 @@
-"""JSON artifact writer shared by every stage.
+"""JSON and CSV artifact writers shared by every stage.
 
 ``write_json(doc, path)`` writes exactly the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)``.  ``json`` formats indented
@@ -11,6 +11,11 @@ that, so replacing it with ``","`` plus the line indent gives the
 indented layout.  Every other value is encoded by ``json.dumps`` itself,
 so NaN, Infinity, string escapes and empty containers come out as before.
 The file is streamed, never held whole in memory.
+
+``write_csv(header, rows, path)`` writes the bytes the standard ``csv``
+module's writer writes for rows of Python ints, floats and bools: each
+cell's ``repr`` (for these types the writer's own text, which needs no
+quoting), comma-separated, with CRLF line ends.
 """
 
 from __future__ import annotations
@@ -26,6 +31,13 @@ def write_json(doc, path: str | Path) -> None:
     """Write ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` does."""
     with open(path, "w") as fh:
         fh.writelines(_encode(doc, 0))
+
+
+def write_csv(header, rows, path: str | Path) -> None:
+    """Write the ``header`` names, then each row of Python numbers, as CSV."""
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
 
 
 def _encode(o, level: int):

@@ -1,12 +1,17 @@
 """Experiment harness: run pipeline stages and persist their artifacts.
 
-Each subcommand executes one stage (or the whole pipeline) from a JSON
-config document; ``--seed`` and ``--out`` flags override the document.
-Stages communicate only through files in the output directory, so any
-stage can be rerun in isolation against artifacts produced earlier.
-Numerical artifacts are written with full round-trip float formatting and
-contain no timestamps, so identical config+seed reruns are byte-identical;
-wall-clock data lives only in ``run.json``.
+Each subcommand runs one stage from a JSON config document, and
+``pipeline`` runs simulate, fit, partition, recover and verify in turn;
+``--seed`` and ``--out`` flags override the document, and the subcommand
+decides which sections the document must hold.  Every stage reads its
+inputs through one loader: an artifact this run already wrote is handed
+over as the value it was written from, anything else is read from the
+output directory.  So a stage run on its own reruns against artifacts
+produced earlier, ``pipeline`` parses none of its own files, and both
+write byte-identical artifacts.  Numerical artifacts are written with
+full round-trip float formatting and contain no timestamps, so identical
+config+seed reruns are byte-identical; wall-clock data lives only in
+``run.json``.
 
 Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 """
@@ -14,7 +19,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
+import itertools
 import json
 import sys
 import time
@@ -26,7 +31,7 @@ import scipy
 
 from . import __version__
 from . import bnmf, partition as part_mod, recovery, register, snr, transforms
-from .artifacts import write_json
+from .artifacts import write_csv, write_json
 from .errors import (
     ConfigurationError,
     DimensionError,
@@ -35,8 +40,6 @@ from .errors import (
     StateError,
     ValidationError,
 )
-
-STAGES = ("simulate", "fit", "partition", "recover", "verify", "sweep", "pipeline")
 
 _DEFAULTS = {
     "register": {"horizon": 600, "dim": 512, "residual_strength": 0.3},
@@ -72,7 +75,7 @@ class RunConfig:
     sweep: tuple[float, list] = field(init=False)
 
     def __post_init__(self):
-        values, diags = _resolve(self.document, self.seed, self.output_dir)
+        values, diags = _resolve(self.document, self.stage, self.seed, self.output_dir)
         if diags:
             raise ValidationError("; ".join(diags))
         self.seed = values["seed"]
@@ -87,13 +90,19 @@ class RunConfig:
 
 @dataclass
 class RunRecord:
-    """What a stage run produced; persisted as ``run.json``."""
+    """What a stage run produced; persisted as ``run.json``.
+
+    ``written`` keeps, by file name, the value each JSON artifact of this
+    run was written from, for the later stages of the run; it is not
+    persisted.
+    """
 
     stage: str
     seed: int
     artifacts: dict = field(default_factory=dict)
     elapsed_seconds: float = 0.0
     notes: list = field(default_factory=list)
+    written: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
@@ -108,29 +117,6 @@ class RunRecord:
                 "scipy": scipy.__version__,
             },
         }
-
-
-def _require(path: Path, producer: str) -> Path:
-    if not path.exists():
-        raise ValidationError(
-            f"missing artifact {path.name}; run the {producer} stage first"
-        )
-    return path
-
-
-def _load(cfg: RunConfig, name: str, producer: str, from_dict):
-    """Read one stage artifact; a malformed file is a validation failure."""
-    path = _require(cfg.output_dir / name, producer)
-    try:
-        with open(path) as fh:
-            return from_dict(json.load(fh))
-    except QReadoutError:
-        raise
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValidationError(
-            f"malformed artifact {name} ({type(exc).__name__}: {exc}); "
-            f"rerun the {producer} stage"
-        ) from exc
 
 
 def _read_config(path: str | Path):
@@ -226,20 +212,25 @@ _SECTIONS = {
 }
 
 
-def _resolve(doc, seed=None, output_dir=None) -> tuple[dict, list[str]]:
+def _resolve(doc, stage=None, seed=None, output_dir=None) -> tuple[dict, list[str]]:
     """Build the typed value of every config section from one document.
 
-    ``seed`` and ``output_dir`` override the document's unless ``None``.
-    Returns the values by name and the diagnostics: the document-level
-    ones, then the first error of each bad section.  The values are
-    complete only when there are no diagnostics.
+    ``stage`` is the stage being run, which decides the required sections;
+    ``None`` takes the document's.  ``seed`` and ``output_dir`` override
+    the document's unless ``None``.  Returns the values by name and the
+    diagnostics: the document-level ones, then the first error of each
+    bad section.  The values are complete only when there are no
+    diagnostics.
     """
     if not isinstance(doc, dict):
         return {}, ["config root must be a JSON object"]
     diags: list[str] = []
-    stage = doc.get("stage")
-    if stage is not None and stage not in STAGES:
-        diags.append(f"stage must be one of {'|'.join(STAGES)}, got {stage!r}")
+    named = doc.get("stage")
+    stage = named if stage is None else stage
+    for value in (named, stage):
+        if value is not None and value not in STAGES:
+            diags.append(f"stage must be one of {'|'.join(STAGES)}, got {value!r}")
+            break
     for name, stages in (("register", ("simulate", "pipeline")), ("sweep", ("sweep",))):
         if stage in stages and doc.get(name) is None:
             diags.append(f"stage {stage!r} requires a '{name}' section")
@@ -272,70 +263,89 @@ def _resolve(doc, seed=None, output_dir=None) -> tuple[dict, list[str]]:
 # stage implementations
 
 
-def _stage_simulate(cfg: RunConfig, record: RunRecord) -> dict:
+def _save(cfg: RunConfig, record: RunRecord, name: str, doc, value=None) -> None:
+    """Write JSON artifact ``name`` and keep ``value`` for later stages of the run."""
+    path = cfg.output_dir / name
+    write_json(doc, path)
+    record.artifacts[path.stem] = path
+    record.written[name] = value
+
+
+def _save_csv(cfg: RunConfig, record: RunRecord, key: str, name: str, header, rows) -> None:
+    path = cfg.output_dir / name
+    write_csv(header, rows, path)
+    record.artifacts[key] = path
+
+
+def _save_channels(cfg: RunConfig, record: RunRecord, key: str, name: str, rows) -> None:
+    """Channels-by-time rows as CSV: header ``m,t0..``, one line per channel."""
+    # lazy, so the header names are freed once written and only one row's
+    # Python floats are alive at a time
+    header = itertools.chain(["m"], (f"t{t}" for t in range(rows.shape[1])))
+    lines = ([m, *row.tolist()] for m, row in enumerate(rows))
+    _save_csv(cfg, record, key, name, header, lines)
+
+
+# each artifact a stage reads: the stage that writes it and the parser of its JSON
+_READS = {
+    "observation.json": ("simulate", register.ObservationMatrix.from_dict),
+    "ground_truth.json": ("simulate", register.ground_truth_from_dict),
+    "model.json": ("fit", bnmf.FitResult.from_dict),
+    "partition.json": ("partition", part_mod.BasisPartition.from_dict),
+}
+
+
+def _load(cfg: RunConfig, record: RunRecord, name: str):
+    """The value of artifact ``name``: kept if this run wrote it, else read from its file.
+
+    A missing or malformed file is a validation failure.
+    """
+    if name in record.written:
+        return record.written[name]
+    producer, parse = _READS[name]
+    path = cfg.output_dir / name
+    if not path.exists():
+        raise ValidationError(f"missing artifact {name}; run the {producer} stage first")
+    try:
+        with open(path) as fh:
+            return parse(json.load(fh))
+    except QReadoutError:
+        raise
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValidationError(
+            f"malformed artifact {name} ({type(exc).__name__}: {exc}); "
+            f"rerun the {producer} stage"
+        ) from exc
+
+
+def _stage_simulate(cfg: RunConfig, record: RunRecord) -> None:
     gt = register.generate_input(cfg.register)
     obs = register.observe(gt, cfg.register)
-
-    gt_path = cfg.output_dir / "ground_truth.json"
-    write_json(register.ground_truth_to_dict(gt, cfg.register), gt_path)
-    gt_csv = cfg.output_dir / "ground_truth.csv"
-    register.channels_to_csv(gt.source_rows, gt_csv)
-    obs_csv = cfg.output_dir / "observation.csv"
-    register.channels_to_csv(obs.values, obs_csv)
-    obs_json = cfg.output_dir / "observation.json"
-    write_json(obs.to_dict(), obs_json)
-
-    record.artifacts.update(
-        ground_truth=gt_path,
-        ground_truth_csv=gt_csv,
-        observation_csv=obs_csv,
-        observation=obs_json,
+    _save(
+        cfg, record, "ground_truth.json",
+        register.ground_truth_to_dict(gt, cfg.register), (gt, cfg.register),
     )
-    return {"ground_truth": gt, "observation": obs}
+    _save_channels(cfg, record, "ground_truth_csv", "ground_truth.csv", gt.source_rows)
+    _save_channels(cfg, record, "observation_csv", "observation.csv", obs.values)
+    _save(cfg, record, "observation.json", obs.to_dict(), obs)
 
 
-def _load_observation(cfg: RunConfig) -> register.ObservationMatrix:
-    return _load(cfg, "observation.json", "simulate", register.ObservationMatrix.from_dict)
-
-
-def _load_ground_truth(cfg: RunConfig) -> tuple[register.GroundTruth, register.RegisterConfig]:
-    return _load(cfg, "ground_truth.json", "simulate", register.ground_truth_from_dict)
-
-
-def _stage_fit(cfg: RunConfig, record: RunRecord, obs=None) -> bnmf.FitResult:
-    obs = obs or _load_observation(cfg)
+def _stage_fit(cfg: RunConfig, record: RunRecord) -> None:
+    obs = _load(cfg, record, "observation.json")
     k_min, k_max = cfg.orders
     k_star, model, scores = bnmf.select_order(
         obs.values, k_min, k_max, cfg.factorization, with_trace=True
     )
     model = model.result()
 
-    model_path = cfg.output_dir / "model.json"
-    write_json(model.to_dict(), model_path)
-    trace_path = cfg.output_dir / "elbo_trace.csv"
-    with open(trace_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "elbo"])
-        for i, value in enumerate(model.elbo_trace, start=1):
-            writer.writerow([i, repr(value)])
-    scores_path = cfg.output_dir / "order_scores.csv"
-    with open(scores_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["K", "elbo", "converged"])
-        for K, elbo, conv in scores:
-            writer.writerow([K, repr(elbo), conv])
-
-    record.artifacts.update(
-        model=model_path, elbo_trace=trace_path, order_scores=scores_path
-    )
+    _save(cfg, record, "model.json", model.to_dict(), model)
+    trace = enumerate(model.elbo_trace, start=1)
+    _save_csv(cfg, record, "elbo_trace", "elbo_trace.csv", ["iter", "elbo"], trace)
+    header = ["K", "elbo", "converged"]
+    _save_csv(cfg, record, "order_scores", "order_scores.csv", header, scores)
     record.notes.append(f"selected K*={k_star} over [{k_min}, {k_max}]")
     if not model.converged:
         record.notes.append("factorization did not converge within max_iters")
-    return model
-
-
-def _load_model(cfg: RunConfig) -> bnmf.FitResult:
-    return _load(cfg, "model.json", "fit", bnmf.FitResult.from_dict)
 
 
 def _window_for(cfg: RunConfig, K: int) -> tuple[transforms.WindowSpec, int]:
@@ -346,8 +356,8 @@ def _window_for(cfg: RunConfig, K: int) -> tuple[transforms.WindowSpec, int]:
     return spec, k
 
 
-def _stage_partition(cfg: RunConfig, record: RunRecord, model=None) -> part_mod.BasisPartition:
-    model = model or _load_model(cfg)
+def _stage_partition(cfg: RunConfig, record: RunRecord) -> None:
+    model = _load(cfg, record, "model.json")
     K = model.K
 
     if K < register.NUM_SOURCES:
@@ -369,20 +379,15 @@ def _stage_partition(cfg: RunConfig, record: RunRecord, model=None) -> part_mod.
             init_activations=model.activations,
         )
         part = part_mod.assign(tensors)
-        scores_path = cfg.output_dir / "scores.csv"
-        part_mod.scores_to_csv(tensors, scores_path)
-        record.artifacts["scores"] = scores_path
+        per_source, total = part_mod.score(tensors)
+        header = ["k", *(f"q{m + 1}" for m in range(per_source.shape[0])), "q_total"]
+        columns = enumerate(zip(per_source.T.tolist(), total.tolist()))
+        rows = ([k, *q, q_total] for k, (q, q_total) in columns)
+        _save_csv(cfg, record, "scores", "scores.csv", header, rows)
         if not tensors.converged:
             record.notes.append("partition decomposition did not converge")
 
-    part_path = cfg.output_dir / "partition.json"
-    write_json(part.to_dict(), part_path)
-    record.artifacts["partition"] = part_path
-    return part
-
-
-def _load_partition(cfg: RunConfig) -> part_mod.BasisPartition:
-    return _load(cfg, "partition.json", "partition", part_mod.BasisPartition.from_dict)
+    _save(cfg, record, "partition.json", part.to_dict(), part)
 
 
 def true_target_bases(model: bnmf.FitResult, gt: register.GroundTruth) -> list[int]:
@@ -405,17 +410,10 @@ def true_target_bases(model: bnmf.FitResult, gt: register.GroundTruth) -> list[i
     return [k for k, m in enumerate(labels) if m == 0]
 
 
-def _stage_recover(
-    cfg: RunConfig,
-    record: RunRecord,
-    model=None,
-    part=None,
-    gt=None,
-) -> recovery.RecoveryResult:
-    model = model or _load_model(cfg)
-    part = part or _load_partition(cfg)
-    if gt is None:
-        gt, _ = _load_ground_truth(cfg)
+def _stage_recover(cfg: RunConfig, record: RunRecord) -> None:
+    model = _load(cfg, record, "model.json")
+    part = _load(cfg, record, "partition.json")
+    gt, _ = _load(cfg, record, "ground_truth.json")
     K = model.K
     sizes = part.cluster_sizes
     target_members = [int(k) for k in part.members(1)]
@@ -433,18 +431,11 @@ def _stage_recover(
         w, k_freq = _window_for(cfg, K)
         c_b = part_mod.transform_bases(model, w, k_freq)
         clustered = recovery.regroup(c_b, part, w, k_freq)
-        clustered_path = cfg.output_dir / "clustered_bases.json"
-        write_json(
-            {
-                "cluster_sizes": clustered.sizes,
-                "composite": [
-                    [[float(v.real), float(v.imag)] for v in row]
-                    for row in clustered.composite
-                ],
-            },
-            clustered_path,
-        )
-        record.artifacts["clustered_bases"] = clustered_path
+        composite = [
+            [[float(v.real), float(v.imag)] for v in row] for row in clustered.composite
+        ]
+        doc = {"cluster_sizes": clustered.sizes, "composite": composite}
+        _save(cfg, record, "clustered_bases.json", doc)
 
         k1 = cfg.k1 or recovery.choose_carrier(K, sizes[0])
         state = recovery.build_superposition(part, k1)
@@ -456,14 +447,10 @@ def _stage_recover(
             recovered_bases=target_members,
             target_bases=reference,
         )
-        table_path = cfg.output_dir / "prob_table.csv"
-        table.to_csv(table_path)
-        record.artifacts["prob_table"] = table_path
+        rows = enumerate(table.probabilities.tolist())
+        _save_csv(cfg, record, "prob_table", "prob_table.csv", ["j", "probability"], rows)
 
-    rec_path = cfg.output_dir / "recovery.json"
-    write_json(result.to_dict(), rec_path)
-    record.artifacts["recovery"] = rec_path
-    return result
+    _save(cfg, record, "recovery.json", result.to_dict())
 
 
 def recovered_spectrum(
@@ -479,13 +466,10 @@ def recovered_spectrum(
     return register.spectrum_from_row(rec[0], reg_cfg.horizon, reg_cfg.dim)
 
 
-def _stage_verify(cfg: RunConfig, record: RunRecord, model=None, part=None, gt=None) -> snr.SnrReport:
-    if gt is None:
-        gt, reg_cfg = _load_ground_truth(cfg)
-    else:
-        reg_cfg = cfg.register
-    model = model or _load_model(cfg)
-    part = part or _load_partition(cfg)
+def _stage_verify(cfg: RunConfig, record: RunRecord) -> None:
+    gt, reg_cfg = _load(cfg, record, "ground_truth.json")
+    model = _load(cfg, record, "model.json")
+    part = _load(cfg, record, "partition.json")
 
     psi_in = register.input_state(gt)
     phi = register.register_state(gt)
@@ -502,22 +486,31 @@ def _stage_verify(cfg: RunConfig, record: RunRecord, model=None, part=None, gt=N
         snr.energy(phi, spec),
         snr.energy(phi_out, spec),
     )
-    report_path = cfg.output_dir / "snr_report.json"
-    write_json(report.to_dict(), report_path)
-    record.artifacts["snr_report"] = report_path
+    _save(cfg, record, "snr_report.json", report.to_dict())
     if report.no_gain:
         record.notes.append("verification flagged no-gain (delta <= 0)")
-    return report
 
 
-def _stage_sweep(cfg: RunConfig, record: RunRecord) -> list[tuple[float, float]]:
+def _stage_sweep(cfg: RunConfig, record: RunRecord) -> None:
     r_sx, deltas = cfg.sweep
     # float(d) keeps sweep.csv reading 1.0 for an integer delta
     rows = snr.sweep_curve(r_sx, [float(d) for d in deltas])
-    sweep_path = cfg.output_dir / "sweep.csv"
-    snr.sweep_to_csv(rows, sweep_path)
-    record.artifacts["sweep"] = sweep_path
-    return rows
+    _save_csv(cfg, record, "sweep", "sweep.csv", ["delta", "snr_db"], rows)
+
+
+# the stage functions each subcommand runs, in order
+_STEPS = {
+    "simulate": (_stage_simulate,),
+    "fit": (_stage_fit,),
+    "partition": (_stage_partition,),
+    "recover": (_stage_recover,),
+    "verify": (_stage_verify,),
+    "sweep": (_stage_sweep,),
+    "pipeline": (
+        _stage_simulate, _stage_fit, _stage_partition, _stage_recover, _stage_verify,
+    ),
+}
+STAGES = tuple(_STEPS)
 
 
 def run(cfg: RunConfig) -> RunRecord:
@@ -526,26 +519,8 @@ def run(cfg: RunConfig) -> RunRecord:
     record = RunRecord(stage=cfg.stage, seed=cfg.seed)
     started = time.monotonic()
 
-    if cfg.stage == "simulate":
-        _stage_simulate(cfg, record)
-    elif cfg.stage == "fit":
-        _stage_fit(cfg, record)
-    elif cfg.stage == "partition":
-        _stage_partition(cfg, record)
-    elif cfg.stage == "recover":
-        _stage_recover(cfg, record)
-    elif cfg.stage == "verify":
-        _stage_verify(cfg, record)
-    elif cfg.stage == "sweep":
-        _stage_sweep(cfg, record)
-    elif cfg.stage == "pipeline":
-        sim = _stage_simulate(cfg, record)
-        model = _stage_fit(cfg, record, obs=sim["observation"])
-        part = _stage_partition(cfg, record, model=model)
-        _stage_recover(cfg, record, model=model, part=part, gt=sim["ground_truth"])
-        _stage_verify(cfg, record, model=model, part=part, gt=sim["ground_truth"])
-    else:
-        raise ValidationError(f"unknown stage {cfg.stage!r}")
+    for stage in _STEPS[cfg.stage]:
+        stage(cfg, record)
 
     record.elapsed_seconds = time.monotonic() - started
     write_json(record.to_dict(), cfg.output_dir / "run.json")

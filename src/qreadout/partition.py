@@ -10,7 +10,6 @@ assignment of each basis to one of the two source clusters.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -266,13 +265,3 @@ def assign(t: PartitionTensors) -> BasisPartition:
         num_clusters=M,
         degenerate=tuple(degenerate),
     )
-
-
-def scores_to_csv(t: PartitionTensors, path) -> None:
-    per_source, total = score(t)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k"] + [f"q{m + 1}" for m in range(per_source.shape[0])] + ["q_total"])
-        for k in range(per_source.shape[1]):
-            row = [k] + [repr(float(v)) for v in per_source[:, k]] + [repr(float(total[k]))]
-            writer.writerow(row)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import csv
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -160,11 +160,10 @@ class GroundTruth:
 
 @dataclass(frozen=True)
 class ObservationMatrix:
-    """The M x T nonnegative register readout plus its per-step aggregate."""
+    """The M x T nonnegative register readout."""
 
     values: np.ndarray
     metadata: RegisterConfig
-    aggregate: np.ndarray = field(default=None)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -175,15 +174,14 @@ class ObservationMatrix:
             )
         if not np.all(np.isfinite(vals)) or np.any(vals < 0):
             raise ConfigurationError("observation entries must be finite and >= 0")
-        if self.aggregate is None:
-            object.__setattr__(self, "aggregate", vals.sum(axis=0))
+
+    @property
+    def aggregate(self) -> np.ndarray:
+        """The per-step sum over channels (the summed register magnitude)."""
+        return self.values.sum(axis=0)
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.metadata.to_dict(),
-            "values": self.values.tolist(),
-            "aggregate": self.aggregate.tolist(),
-        }
+        return {"config": self.metadata.to_dict(), "values": self.values.tolist()}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservationMatrix":
@@ -286,8 +284,7 @@ def generate_input(cfg: RegisterConfig) -> GroundTruth:
 def observe(gt: GroundTruth, cfg: RegisterConfig) -> ObservationMatrix:
     """Read the register out as per-channel magnitudes of the mixed state.
 
-    Channel m carries source m's magnitude series; the per-step aggregate
-    (the summed register magnitude) is recorded alongside.
+    Channel m carries source m's magnitude series.
     """
     rows = np.asarray(gt.source_rows, dtype=float)
     if rows.shape != (cfg.num_sources, cfg.horizon):
@@ -334,19 +331,6 @@ def spectrum_from_row(row: np.ndarray, horizon: int, dim: int) -> np.ndarray:
         power[group] = (row[starts[group, None] + np.arange(length)] ** 2).sum(axis=1)
     total = power.sum()
     return power / total if total > 0 else power
-
-
-def channels_to_csv(rows, path: str | Path) -> None:
-    """Write channels-by-time rows (observation or ground truth) as CSV.
-
-    Header ``m,t0..``, one line per channel led by its index, full
-    round-trip floats and CRLF line ends, the bytes ``csv.writer`` writes.
-    """
-    rows = np.asarray(rows, dtype=float)
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(["m"] + [f"t{t}" for t in range(rows.shape[1])]) + "\r\n")
-        for m, row in enumerate(rows):
-            fh.write(f"{m}," + ",".join(map(repr, row.tolist())) + "\r\n")
 
 
 def observation_from_csv(path: str | Path, cfg: RegisterConfig) -> ObservationMatrix:

@@ -13,7 +13,6 @@ flag instead of forcing them together.
 
 from __future__ import annotations
 
-import csv
 import warnings
 from dataclasses import dataclass
 
@@ -194,11 +193,3 @@ def sweep_curve(r_sx: float, delta_grid) -> list[tuple[float, float]]:
             continue
         rows.append((float(d), float(10.0 * np.log10(ratio))))
     return rows
-
-
-def sweep_to_csv(rows, path) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["delta", "snr_db"])
-        for d, s in rows:
-            writer.writerow([repr(d), repr(s)])

@@ -12,9 +12,7 @@ none is needed at the scales this package targets (K <= 1024).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -101,13 +99,6 @@ class ProbTable:
 
     def peak_probability(self) -> float:
         return float(self.probabilities[self.peak_index])
-
-    def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["j", "probability"])
-            for j, p in enumerate(self.probabilities):
-                writer.writerow([j, repr(float(p))])
 
     def to_dict(self) -> dict:
         return {

@@ -1,10 +1,13 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from qreadout import cli
-from qreadout.artifacts import _SLICE, write_json
+from qreadout.artifacts import _SLICE, write_csv, write_json
 
 SMALL_PIPELINE = {
     "stage": "pipeline",
@@ -69,6 +72,30 @@ def test_long_number_lists_equal_indented_json_dumps(
     }[nest]
     directory = tmp_path_factory.getbasetemp()
     assert written(value, directory) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("integral", [False, True])
+def test_csv_bytes_match_csv_writer(tmp_path, integral):
+    # reference: csv.writer on the same rows of Python numbers, laid out as
+    # the channel files: index first, then one value per time step
+    rng = np.random.default_rng(5)
+    extra = [7, -3, 2**70, True, False, float("nan"), float("inf"), -float("inf"), -0.0]
+    for shape in [(2, 1), (2, 7), (3, 2048)]:
+        values = rng.exponential(30.0, size=shape)
+        if integral:
+            values = np.floor(values)
+        values[0, 0] = 0.0
+        header = ["m"] + [f"t{t}" for t in range(shape[1])]
+        rows = [[m, *row.tolist()] for m, row in enumerate(values)]
+        rows.append([len(rows), *extra])
+        expected = tmp_path / "expected.csv"
+        with open(expected, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows(rows)
+        got = tmp_path / "got.csv"
+        write_csv(header, rows, got)
+        assert got.read_bytes() == expected.read_bytes()
 
 
 def test_pipeline_artifacts_are_indented_sorted_json(tmp_path):

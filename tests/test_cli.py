@@ -1,3 +1,4 @@
+import csv
 import io
 import json
 import shutil
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreadout import cli
+from qreadout import cli, register
 
 
 SMALL_REGISTER = {"horizon": 200, "dim": 64, "residual_strength": 0.3}
@@ -198,12 +199,85 @@ BAD_ENTRIES = [
 ]
 
 
+SWEEP = {"r_sx": 1.0, "deltas": [1, 2.5, 4]}
+
+
+def pipeline_and_sweep(tmp_path):
+    run_stage(tmp_path, "pipeline")
+    run_stage(tmp_path, "sweep", doc=config_doc(tmp_path, stage="sweep", sweep=SWEEP))
+    return tmp_path / "out"
+
+
 @pytest.fixture(scope="module")
 def pipeline_out(tmp_path_factory):
-    """Artifacts of one pipeline run, copied by tests that damage them."""
-    tmp = tmp_path_factory.mktemp("pipeline")
-    run_stage(tmp, "pipeline")
-    return tmp / "out"
+    """Artifacts of one pipeline + sweep run, copied by tests that damage them."""
+    return pipeline_and_sweep(tmp_path_factory.mktemp("pipeline"))
+
+
+class TestCsvArtifacts:
+    def read(self, path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    def test_observation_csv_header_and_roundtrip(self, pipeline_out):
+        doc = json.loads((pipeline_out / "observation.json").read_text())
+        cfg = register.RegisterConfig.from_dict(doc["config"])
+        header = self.read(pipeline_out / "observation.csv")[0]
+        assert header == ["m"] + [f"t{t}" for t in range(cfg.horizon)]
+        back = register.observation_from_csv(pipeline_out / "observation.csv", cfg)
+        np.testing.assert_array_equal(back.values, doc["values"])
+
+    def test_ground_truth_csv_layout(self, pipeline_out):
+        doc = json.loads((pipeline_out / "ground_truth.json").read_text())
+        rows = self.read(pipeline_out / "ground_truth.csv")
+        assert rows[0] == ["m"] + [f"t{t}" for t in range(doc["config"]["horizon"])]
+        assert len(rows) == 3
+        for m in (0, 1):
+            assert rows[m + 1][0] == str(m)
+            np.testing.assert_array_equal(
+                [float(v) for v in rows[m + 1][1:]], doc["source_rows"][m]
+            )
+
+    def test_scores_csv(self, pipeline_out):
+        K = json.loads((pipeline_out / "model.json").read_text())["K"]
+        rows = self.read(pipeline_out / "scores.csv")
+        assert rows[0] == ["k", "q1", "q2", "q_total"]
+        assert [row[0] for row in rows[1:]] == [str(k) for k in range(K)]
+        for row in rows[1:]:
+            q1, q2, total = (float(v) for v in row[1:])
+            assert min(q1, q2, total) >= 0.0
+
+    def test_prob_table_csv(self, pipeline_out):
+        doc = json.loads((pipeline_out / "recovery.json").read_text())
+        rows = self.read(pipeline_out / "prob_table.csv")
+        assert rows[0] == ["j", "probability"]
+        probabilities = doc["prob_table"]["probabilities"]
+        assert rows[1:] == [[str(j), repr(p)] for j, p in enumerate(probabilities)]
+
+    def test_sweep_csv(self, pipeline_out):
+        rows = self.read(pipeline_out / "sweep.csv")
+        assert rows[0] == ["delta", "snr_db"]
+        assert [float(row[0]) for row in rows[1:]] == SWEEP["deltas"]
+        for d, s in rows[1:]:
+            assert float(s) == pytest.approx(10 * np.log10(float(d) + 1.0), abs=1e-12)
+
+
+class Unparsed(Exception):
+    pass
+
+
+def test_pipeline_hands_artifacts_on_without_parsing(tmp_path, monkeypatch, pipeline_out):
+    def refuse(doc):
+        raise Unparsed
+
+    for name, (producer, _) in list(cli._READS.items()):
+        monkeypatch.setitem(cli._READS, name, (producer, refuse))
+    out = pipeline_and_sweep(tmp_path)
+    assert artifact_bytes(out) == artifact_bytes(pipeline_out)
+
+    # a stage run on its own reads what an earlier run wrote
+    with pytest.raises(Unparsed):
+        run_stage(tmp_path, "fit")
 
 
 class TestMain:
@@ -298,6 +372,20 @@ class TestMain:
         assert payload["error"] == "ValidationError"
         assert not (tmp_path / "out").exists()
 
+    def test_simulate_requires_register_whatever_the_document_stage(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"output_dir": str(tmp_path / "out")})
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert "stage 'simulate' requires a 'register' section" in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_fit_needs_no_register_under_a_pipeline_document(self, tmp_path):
+        run_stage(tmp_path, "simulate")
+        doc = {"stage": "pipeline", "output_dir": str(tmp_path / "out")}
+        assert cli.main(["fit", "--config", str(write_config(tmp_path, doc))]) == 0
+        assert (tmp_path / "out" / "model.json").exists()
+
     def test_pipeline_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, config_doc(tmp_path))
         assert cli.main(["pipeline", "--config", str(path)]) == 0
@@ -367,8 +455,12 @@ def test_validate_and_run_config_resolve_alike(doc, tmp_path_factory):
     diags = cli.validate_document(doc)
     assert isinstance(diags, list) and all(isinstance(d, str) for d in diags)
     seed = doc.get("seed", 0) if isinstance(doc, dict) else 0
+    # the stage the document names decides its required sections in both;
+    # verify requires none
+    named = doc.get("stage") if isinstance(doc, dict) else None
+    stage = named if named in cli.STAGES else "verify"
     try:
-        cli.RunConfig(stage="pipeline", seed=seed, output_dir=None, document=doc)
+        cli.RunConfig(stage=stage, seed=seed, output_dir=None, document=doc)
         built = True
     except cli.ValidationError:
         built = False

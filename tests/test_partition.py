@@ -274,12 +274,3 @@ class TestSerialization:
         back = pm.BasisPartition.from_dict(__import__("json").load(open(path)))
         np.testing.assert_array_equal(back.assignment, part.assignment)
         assert back.cluster_sizes == [2, 1]
-
-    def test_scores_csv(self, tmp_path):
-        t = random_tensors(0)
-        path = tmp_path / "scores.csv"
-        pm.scores_to_csv(t, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "k,q1,q2,q_total"
-        assert len(lines) == 1 + t.num_bases
-

@@ -1,4 +1,3 @@
-import csv
 import json
 
 import numpy as np
@@ -158,49 +157,6 @@ class TestStates:
 
 
 class TestSerialization:
-    def test_csv_header_and_roundtrip(self, tmp_path):
-        cfg = make_cfg(horizon=6)
-        obs = register.observe(register.generate_input(cfg), cfg)
-        path = tmp_path / "obs.csv"
-        register.channels_to_csv(obs.values, path)
-        with open(path) as fh:
-            header = next(csv.reader(fh))
-        assert header == ["m"] + [f"t{t}" for t in range(6)]
-        back = register.observation_from_csv(path, cfg)
-        np.testing.assert_allclose(back.values, obs.values)
-
-    def test_ground_truth_csv_layout(self, tmp_path):
-        cfg = make_cfg(horizon=5)
-        gt = register.generate_input(cfg)
-        path = tmp_path / "gt.csv"
-        register.channels_to_csv(gt.source_rows, path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert rows[0] == ["m"] + [f"t{t}" for t in range(5)]
-        assert len(rows) == 3
-        np.testing.assert_allclose(
-            [float(v) for v in rows[1][1:]], gt.source_rows[0]
-        )
-
-    @pytest.mark.parametrize("integral", [False, True])
-    def test_channels_csv_bytes_match_csv_writer(self, tmp_path, integral):
-        # reference: csv.writer rows of full round-trip floats
-        rng = np.random.default_rng(5)
-        for shape in [(2, 1), (2, 7), (3, 2048)]:
-            rows = rng.exponential(30.0, size=shape)
-            if integral:
-                rows = np.floor(rows)
-            rows[0, 0] = 0.0
-            expected = tmp_path / "expected.csv"
-            with open(expected, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["m"] + [f"t{t}" for t in range(shape[1])])
-                for m in range(shape[0]):
-                    writer.writerow([m] + [repr(float(v)) for v in rows[m]])
-            got = tmp_path / "got.csv"
-            register.channels_to_csv(rows, got)
-            assert got.read_bytes() == expected.read_bytes()
-
     def test_json_roundtrip_embeds_config(self, tmp_path):
         cfg = make_cfg()
         gt = register.generate_input(cfg)

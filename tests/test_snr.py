@@ -181,14 +181,6 @@ class TestSweepCurve:
             rows = snr.sweep_curve(1.0, [-2.0, 1.0])
         assert len(rows) == 1
 
-    def test_csv(self, tmp_path):
-        rows = snr.sweep_curve(1.0, [1.0, 2.0])
-        path = tmp_path / "sweep.csv"
-        snr.sweep_to_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "delta,snr_db"
-        assert len(lines) == 3
-
 
 class TestChainConsistency:
     def test_multiplicative_case_flagged_true(self):

@@ -262,16 +262,6 @@ class TestIdstftUnit:
             )
 
 
-class TestProbTable:
-    def test_csv(self, tmp_path):
-        _, table = concentrate(2, [2, 2], 4)
-        path = tmp_path / "table.csv"
-        table.to_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "j,probability"
-        assert len(lines) == 5
-
-
 class TestSpectralState:
     def test_json_roundtrip(self):
         v = np.array([1 + 2j, -0.5 + 0j])
