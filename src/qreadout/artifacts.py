@@ -8,9 +8,14 @@ containers are walked as the indenting encoder walks them, and each flat
 list of numbers goes through the C encoder in fixed slices: compact
 ``json.dumps`` separates items with ``", "``, no number's text contains
 that, so replacing it with ``","`` plus the line indent gives the
-indented layout.  Every other value is encoded by ``json.dumps`` itself,
-so NaN, Infinity, string escapes and empty containers come out as before.
-The file is streamed, never held whole in memory.
+indented layout.  A list of floats alone usually repeats a few values
+(the activations of the register's empty columns, its zero magnitudes),
+so when at most half its items are distinct, each distinct value is
+formatted once by the C encoder, keyed by its bits so that -0.0 and 0.0
+keep their own text, and every slice joins the texts of its items.
+Every other value is encoded by ``json.dumps`` itself, so NaN, Infinity,
+string escapes and empty containers come out as before.  The file is
+streamed, never held whole in memory.
 
 ``write_csv(header, rows, path)`` writes the bytes the standard ``csv``
 module's writer writes for rows of Python ints, floats and bools: each
@@ -22,6 +27,8 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
+
+import numpy as np
 
 _INDENT = "  "
 _SLICE = 1024  # numbers per C-encoder call
@@ -51,10 +58,11 @@ def _encode(o, level: int):
         yield "\n" + _INDENT * level + "}"
     elif isinstance(o, (list, tuple)) and o:
         sep = "[" + inner
-        if set(map(type, o)) <= {int, float}:
-            for i in range(0, len(o), _SLICE):
+        types = set(map(type, o))
+        if types <= {int, float}:
+            for text in _number_slices(o, types, "," + inner):
                 yield sep
-                yield json.dumps(o[i : i + _SLICE])[1:-1].replace(", ", "," + inner)
+                yield text
                 sep = "," + inner
         else:
             for value in o:
@@ -72,3 +80,19 @@ def _encode(o, level: int):
         # indenting encoder would build a cycle of closures per value, which
         # lingers until collected and raised peak memory
         yield json.dumps(o)
+
+
+def _number_slices(o, types: set, join: str):
+    """A flat list of numbers as JSON text, ``_SLICE`` items at a time joined by ``join``."""
+    if types == {float}:
+        # keyed by the bits, so -0.0 and 0.0 (and each NaN) keep their own text
+        uniq, where = np.unique(np.array(o).view(np.int64), return_inverse=True)
+        if 2 * len(uniq) <= len(o):
+            texts = json.dumps(uniq.view(float).tolist())[1:-1].split(", ")
+            texts = np.array(texts, dtype=object)
+            for i in range(0, len(o), _SLICE):
+                yield join.join(texts[where[i : i + _SLICE]].tolist())
+            return
+    # ints, which np.array would make floats, and lists of mostly distinct values
+    for i in range(0, len(o), _SLICE):
+        yield json.dumps(o[i : i + _SLICE])[1:-1].replace(", ", join)

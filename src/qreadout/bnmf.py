@@ -162,6 +162,12 @@ class FitResult:
                 f"need M x K bases and K x T activations with K={self.K}, got "
                 f"{self.bases.shape} and {self.activations.shape}"
             )
+        for name in ("bases", "activations"):
+            arr = getattr(self, name)
+            # a validation failure, not a numerical one: a fit's Gamma means
+            # are always finite and positive, so only a damaged input gets here
+            if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+                raise ValidationError(f"{name} must be finite and nonnegative")
 
     def to_dict(self) -> dict:
         # matrices go out row-major with their shapes explicit
@@ -185,12 +191,16 @@ class FitResult:
             entry = d[key]
             return np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
 
+        for key, kind in (("K", int), ("iterations", int), ("converged", bool)):
+            # exact types: JSON's true is not an integer here, nor 2.0
+            if type(d[key]) is not kind:
+                raise ValidationError(f"{key} must be {kind.__name__}, got {d[key]!r}")
         return cls(
             bases=arr("bases"),
             activations=arr("activations"),
-            K=int(d["K"]),
-            converged=bool(d["converged"]),
-            iterations=int(d["iterations"]),
+            K=d["K"],
+            converged=d["converged"],
+            iterations=d["iterations"],
             elbo_trace=tuple(d["elbo_trace"]),
         )
 

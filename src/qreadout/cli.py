@@ -295,10 +295,21 @@ _READS = {
 }
 
 
+class _FloatMemo(dict):
+    """Float token text -> ``float(text)``, converting each distinct text once."""
+
+    def __missing__(self, text: str) -> float:
+        value = self[text] = float(text)
+        return value
+
+
 def _load(cfg: RunConfig, record: RunRecord, name: str):
     """The value of artifact ``name``: kept if this run wrote it, else read from its file.
 
-    A missing or malformed file is a validation failure.
+    The file is parsed as ``json.load`` parses it, with one ``float`` per
+    distinct number text: the artifacts repeat a few values many times.
+    A missing file, or one whose text or values its parser refuses, is a
+    validation failure that names it.
     """
     if name in record.written:
         return record.written[name]
@@ -308,9 +319,8 @@ def _load(cfg: RunConfig, record: RunRecord, name: str):
         raise ValidationError(f"missing artifact {name}; run the {producer} stage first")
     try:
         with open(path) as fh:
-            return parse(json.load(fh))
-    except QReadoutError:
-        raise
+            return parse(json.load(fh, parse_float=_FloatMemo().__getitem__))
+    # the parsers' own checks raise ValueError subclasses
     except (ValueError, KeyError, TypeError) as exc:
         raise ValidationError(
             f"malformed artifact {name} ({type(exc).__name__}: {exc}); "

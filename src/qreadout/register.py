@@ -17,10 +17,8 @@ register state.
 
 from __future__ import annotations
 
-import csv
 import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -131,9 +129,17 @@ class GroundTruth:
         if np.any(rows < 0) or not np.all(np.isfinite(rows)):
             raise ConfigurationError("source_rows must be finite and nonnegative")
         w = np.asarray(self.input_weights, dtype=float)
-        if np.any(w < 0):
-            raise ConfigurationError("input_weights must be nonnegative")
-        if abs(w.sum() - 1.0) > 1e-12:
+        r = np.asarray(self.residual_weights, dtype=float)
+        if w.ndim != 1 or r.shape != w.shape:
+            raise ConfigurationError(
+                "input_weights and residual_weights must be vectors of one length, "
+                f"got shapes {w.shape} and {r.shape}"
+            )
+        for name, v in (("input_weights", w), ("residual_weights", r)):
+            if not np.all(np.isfinite(v)) or np.any(v < 0):
+                raise ConfigurationError(f"{name} must be finite and nonnegative")
+        # written so that a NaN sum fails too
+        if not abs(w.sum() - 1.0) <= 1e-12:
             raise ConfigurationError(
                 f"input_weights must sum to 1 within 1e-12, got {w.sum()!r}"
             )
@@ -333,20 +339,16 @@ def spectrum_from_row(row: np.ndarray, horizon: int, dim: int) -> np.ndarray:
     return power / total if total > 0 else power
 
 
-def observation_from_csv(path: str | Path, cfg: RegisterConfig) -> ObservationMatrix:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if not header or header[0] != "m":
-            raise ValueError(f"unexpected observation CSV header: {header!r}")
-        rows = [[float(v) for v in row[1:]] for row in reader]
-    return ObservationMatrix(values=np.asarray(rows), metadata=cfg)
-
-
 def ground_truth_to_dict(gt: GroundTruth, cfg: RegisterConfig) -> dict:
     """The ``ground_truth.json`` document: the planted sources and their config."""
     return {"config": cfg.to_dict(), **gt.to_dict()}
 
 
 def ground_truth_from_dict(doc: dict) -> tuple[GroundTruth, RegisterConfig]:
-    return GroundTruth.from_dict(doc), RegisterConfig.from_dict(doc["config"])
+    gt, cfg = GroundTruth.from_dict(doc), RegisterConfig.from_dict(doc["config"])
+    if gt.horizon != cfg.horizon or len(gt.input_weights) != cfg.dim:
+        raise ConfigurationError(
+            f"ground truth of {gt.horizon} steps and {len(gt.input_weights)} components "
+            f"does not match its config (horizon {cfg.horizon}, dim {cfg.dim})"
+        )
+    return gt, cfg

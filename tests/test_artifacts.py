@@ -1,12 +1,13 @@
 import csv
 import json
+import random
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreadout import cli
+from qreadout import artifacts, cli
 from qreadout.artifacts import _SLICE, write_csv, write_json
 
 SMALL_PIPELINE = {
@@ -35,13 +36,47 @@ json_values = st.recursive(
     ),
     max_leaves=30,
 )
-# flat number lists take the sliced C-encoder path; these cross slice
+# flat number lists go through the C encoder in slices; these cross slice
 # edges (a short drawn pattern, tiled to a drawn length)
 long_number_lists = st.builds(
     lambda pattern, n: (pattern * n)[:n],
     st.lists(numbers, min_size=1, max_size=8),
     st.integers(_SLICE - 1, 2 * _SLICE + 3),
 )
+
+
+def half_distinct_floats(n: int, distinct: int, seed: int) -> list[float]:
+    """``n`` floats holding exactly ``distinct`` values, specials among them, shuffled."""
+    values = [-0.0, 0.0, float("nan"), float("inf"), -float("inf")]
+    values += [i + 0.1 for i in range(distinct - len(values))]
+    floats = values + [values[i % distinct] for i in range(n - distinct)]
+    random.Random(seed).shuffle(floats)
+    return floats
+
+
+# lists of floats alone with at most half their values distinct take the
+# path that formats each distinct value once, keyed by its bits; the
+# specials keep their own texts there.  Tiled past two slices, and at
+# exactly half and half + 1 distinct values (the edge of the fallback).
+special_floats = st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), -float("inf")])
+long_float_lists = st.one_of(
+    st.builds(
+        lambda pattern, n: (pattern * n)[:n],
+        st.lists(
+            st.one_of(special_floats, st.floats(allow_nan=True, allow_infinity=True)),
+            min_size=1,
+            max_size=8,
+        ),
+        st.integers(2 * _SLICE + 1, 3 * _SLICE),
+    ),
+    st.builds(
+        lambda half, extra, seed: half_distinct_floats(2 * half, half + extra, seed),
+        st.integers(_SLICE + 1, _SLICE + 20),
+        st.sampled_from([0, 1]),
+        st.integers(0, 2**32 - 1),
+    ),
+)
+
 
 def written(value, directory: Path) -> str:
     path = directory / "value.json"
@@ -56,9 +91,9 @@ def test_bytes_equal_indented_json_dumps(value, tmp_path_factory):
     assert written(value, directory) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    numbers_list=long_number_lists,
+    numbers_list=st.one_of(long_number_lists, long_float_lists),
     nest=st.sampled_from(["bare", "in-dict", "in-list", "tuple"]),
 )
 def test_long_number_lists_equal_indented_json_dumps(
@@ -72,6 +107,23 @@ def test_long_number_lists_equal_indented_json_dumps(
     }[nest]
     directory = tmp_path_factory.getbasetemp()
     assert written(value, directory) == json.dumps(value, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("extra,calls", [(0, 1), (1, 3)])
+def test_distinct_floats_formatted_once(tmp_path, monkeypatch, extra, calls):
+    # 2 * _SLICE + 2 items: the distinct values in one encoder call, or the
+    # three slices when more than half the values are distinct
+    floats = half_distinct_floats(2 * _SLICE + 2, _SLICE + 1 + extra, seed=7)
+    expected = json.dumps(floats, indent=2, sort_keys=True)
+    dumps, seen = json.dumps, []
+
+    def counting(obj, *args, **kwargs):
+        seen.append(len(obj))
+        return dumps(obj, *args, **kwargs)
+
+    monkeypatch.setattr(artifacts.json, "dumps", counting)
+    assert written(floats, tmp_path) == expected
+    assert len(seen) == calls
 
 
 @pytest.mark.parametrize("integral", [False, True])

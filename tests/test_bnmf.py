@@ -433,3 +433,22 @@ class TestSerialization:
         doc["K"] = 3
         with pytest.raises(DimensionError):
             bnmf.FitResult.from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["bases", "activations"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+    def test_damaged_values_rejected(self, key, value):
+        doc = bnmf.fit(random_matrix(12, T=8), 2).result().to_dict()
+        doc[key]["data"][-1] = value
+        with pytest.raises(ValidationError, match=key):
+            bnmf.FitResult.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [("K", 2.5), ("K", 2.0), ("K", True), ("K", "2"),
+         ("iterations", 2.5), ("converged", "no"), ("converged", 1)],
+    )
+    def test_mistyped_scalars_rejected(self, key, value):
+        doc = bnmf.fit(random_matrix(12, T=8), 2).result().to_dict()
+        doc[key] = value
+        with pytest.raises(ValidationError, match=key):
+            bnmf.FitResult.from_dict(doc)

@@ -222,10 +222,11 @@ class TestCsvArtifacts:
     def test_observation_csv_header_and_roundtrip(self, pipeline_out):
         doc = json.loads((pipeline_out / "observation.json").read_text())
         cfg = register.RegisterConfig.from_dict(doc["config"])
-        header = self.read(pipeline_out / "observation.csv")[0]
-        assert header == ["m"] + [f"t{t}" for t in range(cfg.horizon)]
-        back = register.observation_from_csv(pipeline_out / "observation.csv", cfg)
-        np.testing.assert_array_equal(back.values, doc["values"])
+        rows = self.read(pipeline_out / "observation.csv")
+        assert rows[0] == ["m"] + [f"t{t}" for t in range(cfg.horizon)]
+        assert [row[0] for row in rows[1:]] == [str(m) for m in range(cfg.num_sources)]
+        back = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
+        np.testing.assert_array_equal(back, doc["values"])
 
     def test_ground_truth_csv_layout(self, pipeline_out):
         doc = json.loads((pipeline_out / "ground_truth.json").read_text())
@@ -278,6 +279,47 @@ def test_pipeline_hands_artifacts_on_without_parsing(tmp_path, monkeypatch, pipe
     # a stage run on its own reads what an earlier run wrote
     with pytest.raises(Unparsed):
         run_stage(tmp_path, "fit")
+
+
+def same_floats(a, b) -> bool:
+    """Equal documents whose floats also agree bit for bit (sign of zero, NaN)."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, float):
+        return a.hex() == b.hex()
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(same_floats(a[k], b[k]) for k in a)
+    if isinstance(a, list):
+        return len(a) == len(b) and all(map(same_floats, a, b))
+    return a == b
+
+
+def load_raw(monkeypatch, out: Path, name: str):
+    """``cli._load`` of ``out/name`` with a parser that returns the document."""
+    monkeypatch.setitem(cli._READS, name, ("simulate", lambda doc: doc))
+    cfg = cli.RunConfig(stage="verify", seed=0, output_dir=out, document={})
+    return cli._load(cfg, cli.RunRecord(stage="verify", seed=0), name)
+
+
+def test_load_parses_artifacts_as_json_load(monkeypatch, pipeline_out):
+    paths = sorted(pipeline_out.glob("*.json"))
+    assert {"model.json", "observation.json", "ground_truth.json"} <= {p.name for p in paths}
+    for path in paths:
+        expected = json.loads(path.read_text())
+        assert same_floats(load_raw(monkeypatch, pipeline_out, path.name), expected), path.name
+
+
+def test_load_parses_float_edge_cases_as_json_load(monkeypatch, tmp_path):
+    text = (
+        '{"a": [-0.0, 1e-05, 5e-324, 1.7976931348623157e+308, NaN, Infinity],'
+        ' "b": [-0.0, 0.0, 1e-05, 1E-5, 0.00001, 5e-324, -Infinity, 2, 1.0],'
+        ' "c": {"x": 1.7976931348623157e+308, "y": -0.0}}'
+    )
+    (tmp_path / "edge.json").write_text(text)
+    expected = json.loads(text)
+    got = load_raw(monkeypatch, tmp_path, "edge.json")
+    assert same_floats(got, expected)
+    assert same_floats(got["a"][0], -0.0) and got["a"][0] is got["b"][0]
 
 
 class TestMain:
@@ -347,6 +389,44 @@ class TestMain:
         payload = json.loads(err.strip())
         assert payload["error"] == "ValidationError"
         assert name in payload["message"]
+
+    @pytest.mark.parametrize(
+        "name,key,value",
+        [
+            ("ground_truth.json", "input_weights", [[0.5], [0.5]]),
+            ("ground_truth.json", "input_weights", "nan-first"),
+            ("ground_truth.json", "residual_weights", "negative-first"),
+            ("model.json", "bases", "nan-first"),
+            ("model.json", "activations", "negative-first"),
+            ("model.json", "K", 2.5),
+        ],
+        ids=["gt-2d-weights", "gt-nan-weight", "gt-negative-residual",
+             "model-nan-basis", "model-negative-activation", "model-fractional-K"],
+    )
+    def test_damaged_artifact_values_exit_2(
+        self, tmp_path, capsys, pipeline_out, name, key, value
+    ):
+        # every stage that reads the damaged artifact refuses it
+        stages = {
+            "ground_truth.json": ("recover", "verify"),
+            "model.json": ("partition", "recover", "verify"),
+        }[name]
+        doc = config_doc(tmp_path)
+        out = Path(doc["output_dir"])
+        shutil.copytree(pipeline_out, out)
+        art = json.loads((out / name).read_text())
+        if value in ("nan-first", "negative-first"):
+            values = art[key]["data"] if isinstance(art[key], dict) else art[key]
+            values[0] = float("nan") if value == "nan-first" else -1.0
+        else:
+            art[key] = value
+        (out / name).write_text(json.dumps(art))
+        for stage in stages:
+            config = write_config(tmp_path, dict(doc, stage=stage))
+            assert cli.main([stage, "--config", str(config)]) == 2, stage
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "ValidationError", stage
+            assert name in payload["message"] and key in payload["message"], stage
 
     def test_validate_subcommand_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, config_doc(tmp_path))

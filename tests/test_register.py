@@ -169,6 +169,35 @@ class TestSerialization:
         assert back_cfg == cfg
         np.testing.assert_allclose(back.source_rows, gt.source_rows)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("input_weights", [[0.5], [0.5]]),
+            ("input_weights", "nan"),
+            ("input_weights", "negative"),
+            ("residual_weights", "nan"),
+            ("residual_weights", "negative"),
+            ("residual_weights", [0.0]),
+        ],
+    )
+    def test_malformed_weights_rejected(self, key, value):
+        cfg = make_cfg()
+        doc = register.ground_truth_to_dict(register.generate_input(cfg), cfg)
+        if value in ("nan", "negative"):
+            doc[key][-1] = float("nan") if value == "nan" else -1e-3
+        else:
+            doc[key] = value
+        with pytest.raises(ConfigurationError, match=key):
+            register.ground_truth_from_dict(doc)
+
+    @pytest.mark.parametrize("key", ["horizon", "dim"])
+    def test_config_mismatch_rejected(self, key):
+        cfg = make_cfg()
+        doc = register.ground_truth_to_dict(register.generate_input(cfg), cfg)
+        doc["config"][key] += 1
+        with pytest.raises(ConfigurationError, match="does not match its config"):
+            register.ground_truth_from_dict(doc)
+
 
 class TestTinyDimensions:
     @pytest.mark.parametrize("dim", [1, 2, 3])
