@@ -86,12 +86,15 @@ def _number_slices(o, types: set, join: str):
     """A flat list of numbers as JSON text, ``_SLICE`` items at a time joined by ``join``."""
     if types == {float}:
         # keyed by the bits, so -0.0 and 0.0 (and each NaN) keep their own text
-        uniq, where = np.unique(np.array(o).view(np.int64), return_inverse=True)
+        bits = np.array(o).view(np.int64)
+        uniq = np.unique(bits)
         if 2 * len(uniq) <= len(o):
             texts = json.dumps(uniq.view(float).tolist())[1:-1].split(", ")
             texts = np.array(texts, dtype=object)
+            # each slice looks its items up, so no full-length index is held
             for i in range(0, len(o), _SLICE):
-                yield join.join(texts[where[i : i + _SLICE]].tolist())
+                where = np.searchsorted(uniq, bits[i : i + _SLICE])
+                yield join.join(texts[where].tolist())
             return
     # ints, which np.array would make floats, and lists of mostly distinct values
     for i in range(0, len(o), _SLICE):

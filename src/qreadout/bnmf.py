@@ -11,6 +11,14 @@ order is chosen by maximizing the variational lower bound over K.
 
 All updates are deterministic given the seed; a fit never mutates its
 input model, it returns a fresh one.
+
+``fit`` runs its sweeps on the observation columns that hold data.  An
+all-zero column receives no counts, so from the second sweep on its
+activation posterior is the same on every such column (shape 1, mean the
+activation scale), and its share of each sum over time is one constant
+per basis times the number of such columns.  That moves the last bits
+of a fit with all-zero columns against the full-width step functions
+below; a fit with none is bit-identical to them.
 """
 
 from __future__ import annotations
@@ -222,19 +230,8 @@ def init_model(X, K: int, seed: int = 0) -> FactorModel:
     initial reconstruction matches the data's magnitude.
     """
     X = _as_observation(X)
-    if K < 1:
-        raise ValidationError(f"K must be >= 1, got {K}")
-    rng = np.random.default_rng(seed)
+    a_shape, a_scale, b_shape, b_scale = _start(X, K, seed)
     M, T = X.shape
-
-    row_scale = np.sqrt((X.mean(axis=1) + EPS) / K)   # (M,)
-    col_scale = np.sqrt((X.mean(axis=0) + EPS) / K)   # (T,)
-
-    a_shape = 1.0 + rng.uniform(0.0, 0.05, size=(M, K))
-    a_scale = row_scale[:, None] * rng.uniform(0.9, 1.1, size=(M, K)) / a_shape
-    b_shape = 1.0 + rng.uniform(0.0, 0.05, size=(K, T))
-    b_scale = col_scale[None, :] * rng.uniform(0.9, 1.1, size=(K, T)) / b_shape
-
     model = FactorModel(
         bases=a_shape * a_scale,
         activations=b_shape * b_scale,
@@ -253,6 +250,23 @@ def init_model(X, K: int, seed: int = 0) -> FactorModel:
     return model
 
 
+def _start(X: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The starting basis and activation Gamma shapes and scales."""
+    if K < 1:
+        raise ValidationError(f"K must be >= 1, got {K}")
+    rng = np.random.default_rng(seed)
+    M, T = X.shape
+
+    row_scale = np.sqrt((X.mean(axis=1) + EPS) / K)   # (M,)
+    col_scale = np.sqrt((X.mean(axis=0) + EPS) / K)   # (T,)
+
+    a_shape = 1.0 + rng.uniform(0.0, 0.05, size=(M, K))
+    a_scale = row_scale[:, None] * rng.uniform(0.9, 1.1, size=(M, K)) / a_shape
+    b_shape = 1.0 + rng.uniform(0.0, 0.05, size=(K, T))
+    b_scale = col_scale[None, :] * rng.uniform(0.9, 1.1, size=(K, T)) / b_shape
+    return a_shape, a_scale, b_shape, b_scale
+
+
 def update_eta(model: FactorModel, X) -> FactorModel:
     """Refresh the multinomial allocation from the current log means.
 
@@ -262,15 +276,22 @@ def update_eta(model: FactorModel, X) -> FactorModel:
     return replace(model, eta=_eta(model.log_bases, model.log_activations))
 
 
-def _eta(log_bases: np.ndarray, log_activations: np.ndarray) -> np.ndarray:
+def _eta(log_bases: np.ndarray, log_activations: np.ndarray, cols=None) -> np.ndarray:
+    """The allocation; ``cols`` names the observation columns that the
+    last axis holds, for the error message (all of them when None)."""
     logits = log_bases[:, :, None] + log_activations[None, :, :]
     if not np.isfinite(logits).all():
-        idx = tuple(np.argwhere(~np.isfinite(logits))[0])
+        idx = _first_non_finite(logits, cols)
         raise NumericalDomainError(f"non-finite log expectation at index {idx}")
     logits -= logits.max(axis=1, keepdims=True)
     eta = np.exp(logits, out=logits)
     eta /= eta.sum(axis=1, keepdims=True)
     return eta
+
+
+def _first_non_finite(arr: np.ndarray, cols) -> tuple:
+    idx = tuple(np.argwhere(~np.isfinite(arr))[0])
+    return idx if cols is None else idx[:-1] + (cols[idx[-1]],)
 
 
 class _Gamma(NamedTuple):
@@ -294,28 +315,22 @@ def update_variational(model: FactorModel, X) -> FactorModel:
     X = _as_observation(X)
     e_kappa = X[:, None, :] * model.eta  # M x K x T
     u, w = _gamma_step(
-        e_kappa.sum(axis=2), e_kappa.sum(axis=0), model.activations,
+        e_kappa.sum(axis=2), e_kappa.sum(axis=0), model.activations.sum(axis=1),
         model.prior_rate_u, model.prior_rate_w,
     )
     return replace(model, **_fields(u, w))
 
 
-def _gamma_step(
-    kappa_u, kappa_w, activations, rate_u, rate_w, digamma_w=special.psi
-) -> tuple[_Gamma, _Gamma]:
+def _gamma_step(kappa_u, kappa_w, sum_w, rate_u, rate_w) -> tuple[_Gamma, _Gamma]:
     """Basis then activation posteriors from the expected counts summed
-    over time (M x K) and over sources (K x T); ``digamma_w`` gives psi of
-    the K x T activation shapes."""
-    u = _gamma_half(kappa_u, activations.sum(axis=1)[None, :] + rate_u, "basis")
-    w = _gamma_half(
-        kappa_w, u.mean.sum(axis=0)[:, None] + rate_w, "activation", digamma_w
-    )
+    over time (M x K) and over sources (K x T) and the activation means
+    summed over time (K)."""
+    u = _gamma_half(kappa_u, sum_w[None, :] + rate_u, "basis")
+    w = _gamma_half(kappa_w, u.mean.sum(axis=0)[:, None] + rate_w, "activation")
     return u, w
 
 
-def _gamma_half(
-    kappa: np.ndarray, denom: np.ndarray, name: str, digamma=special.psi
-) -> _Gamma:
+def _gamma_half(kappa: np.ndarray, denom: np.ndarray, name: str) -> _Gamma:
     if (denom < EPS).any():
         warnings.warn(
             f"zero {name}-scale denominator floored at 1e-12",
@@ -324,7 +339,7 @@ def _gamma_half(
         )
     shape = 1.0 + kappa
     scale = 1.0 / _floored(denom)
-    psi = digamma(shape)
+    psi = special.psi(shape)
     return _Gamma(shape, scale, shape * scale, psi + np.log(scale), psi)
 
 
@@ -385,30 +400,25 @@ def lower_bound(model: FactorModel, X) -> float:
     )
 
 
-def _counts(x: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+def _counts(x: np.ndarray, eta: np.ndarray, cols=None) -> tuple[np.ndarray, np.ndarray, float]:
     """Expected counts E(kappa) = X * eta summed over time (M x K) and over
     sources (K x T), and the allocation term sum E(kappa) log eta."""
     e_kappa = x * eta  # M x K x T
     kappa_u, kappa_w = e_kappa.sum(axis=2), e_kappa.sum(axis=0)
     alloc = special.xlogy(e_kappa, eta, out=e_kappa)
     if not np.isfinite(alloc).all():
-        raise _alloc_error(alloc)
+        idx = _first_non_finite(alloc, cols)
+        raise NumericalDomainError(
+            f"allocation entropy has log of a nonpositive argument at index {idx}"
+        )
     return kappa_u, kappa_w, float(alloc.sum())
 
 
-def _alloc_error(alloc: np.ndarray) -> NumericalDomainError:
-    idx = tuple(np.argwhere(~np.isfinite(alloc))[0])
-    return NumericalDomainError(
-        f"allocation entropy has log of a nonpositive argument at index {idx}"
-    )
-
-
-def _bound(
-    u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w, gammaln_w=special.gammaln
-) -> float:
+def _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w, n0=0) -> float:
     """Lower bound of one state from its Gamma posteriors and ``_counts``;
-    ``data`` is -sum(log X_mt!) and ``gammaln_w`` gives log Gamma of the
-    activation shapes."""
+    ``data`` is -sum(log X_mt!).  ``w`` holds the activations of the
+    columns with data; each of ``n0`` more columns holds no counts, so its
+    activation shape is 1 and its mean the scale."""
     recon = float((u.mean @ w.mean).sum())
     data -= alloc
 
@@ -421,20 +431,26 @@ def _bound(
     prior_w = float((np.log(rate_w) - rate_w * w.mean).sum())
 
     ent_u = float(_gamma_entropy(u).sum())
-    ent_w = float(_gamma_entropy(w, gammaln_w).sum())
+    ent_w = float(_gamma_entropy(w).sum())
 
     total = -recon + data + cross_u + cross_w + prior_u + prior_w + ent_u + ent_w
+    if n0:
+        # an empty column's recon, prior and entropy terms; its cross and
+        # allocation terms are 0, and so are (shape - 1) psi and log Gamma(1)
+        s = w.scale[:, 0]
+        empty = np.log(rate_w) + np.log(_floored(s)) + 1.0 - (u.mean.sum(axis=0) + rate_w) * s
+        total += n0 * float(empty.sum())
     if not math.isfinite(total):
         raise NumericalDomainError("lower bound evaluated to a non-finite value")
     return total
 
 
-def _gamma_entropy(g: _Gamma, gammaln=special.gammaln) -> np.ndarray:
+def _gamma_entropy(g: _Gamma) -> np.ndarray:
     return (
         -(g.shape - 1.0) * g.psi
         + np.log(_floored(g.scale))
         + g.shape
-        + gammaln(g.shape)
+        + special.gammaln(g.shape)
     )
 
 
@@ -442,85 +458,13 @@ def _floored(arr: np.ndarray) -> np.ndarray:
     return np.maximum(arr, EPS)
 
 
-class _AllColumns:
-    """The sweep kernels behind ``update_eta``, ``update_variational`` and
-    ``lower_bound``, run on every column of the observation."""
-
-    eta = staticmethod(_eta)
-    digamma = staticmethod(special.psi)
-    gammaln = staticmethod(special.gammaln)
-
-    def __init__(self, X: np.ndarray):
-        self.x = X[:, None, :]  # broadcasts against eta
-
-    def counts(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        return _counts(self.x, eta)
-
-    def allocation(self, eta, log_bases, log_activations) -> np.ndarray:
-        """The M x K x T allocation of the sweep that returned ``eta``."""
-        return eta
-
-
-class _DataColumns:
-    """The same kernels with their per-entry special functions run only on
-    the columns of the observation that hold data.
-
-    On an all-zero column E(kappa) is 0 in every sweep: the allocation
-    there is multiplied by 0 and reaches no update, and the activation
-    shape is exactly 1, so its psi and log Gamma are constants.  Sums over
-    time still run on full-length buffers that hold zeros (or the
-    constants) on those columns, since pairwise summation depends on
-    where the zeros sit; each sweep overwrites only the data columns.
-    """
-
-    def __init__(self, X: np.ndarray, K: int, cols: np.ndarray):
-        M, T = X.shape
-        if cols.size == 1:
-            # numpy sums a width-1 M x K x 1 array over K in another order
-            # than a wider one; a zero column beside it keeps eta exact
-            cols = np.union1d(cols, (cols + 1) % T)
-        self.cols = cols
-        self.x = self._take(X)[:, None, :]
-        self.kappa = np.zeros((M, K, T))  # E(kappa), then the allocation term
-        self.psi = np.full((K, T), special.psi(1.0))
-        self.log_gamma = np.full((K, T), special.gammaln(1.0))
-
-    def eta(self, log_bases: np.ndarray, log_activations: np.ndarray) -> np.ndarray:
-        """The allocation on the data columns, M x K x len(cols)."""
-        # every logit is finite iff both log means are: a sum of two
-        # finite log means cannot overflow
-        if not (np.isfinite(log_bases).all() and np.isfinite(log_activations).all()):
-            _eta(log_bases, log_activations)  # raises as the full-width sweep does
-        return _eta(log_bases, self._take(log_activations))
-
-    def counts(self, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-        e_kappa = self.x * eta
-        self.kappa[:, :, self.cols] = e_kappa
-        kappa_u, kappa_w = self.kappa.sum(axis=2), self.kappa.sum(axis=0)
-        alloc = special.xlogy(e_kappa, eta, out=e_kappa)
-        self.kappa[:, :, self.cols] = alloc
-        if not np.isfinite(alloc).all():
-            raise _alloc_error(self.kappa)
-        return kappa_u, kappa_w, float(self.kappa.sum())
-
-    def digamma(self, shape: np.ndarray) -> np.ndarray:
-        self.psi[:, self.cols] = special.psi(self._take(shape))
-        return self.psi
-
-    def gammaln(self, shape: np.ndarray) -> np.ndarray:
-        self.log_gamma[:, self.cols] = special.gammaln(self._take(shape))
-        return self.log_gamma
-
-    def _take(self, arr: np.ndarray) -> np.ndarray:
-        # C order, as the full-width arrays are: numpy sums eta over K in
-        # another order when K is the contiguous axis
-        return np.take(arr, self.cols, axis=1)
-
-    def allocation(self, eta, log_bases, log_activations) -> np.ndarray:
-        """The full M x K x T allocation from the log means that produced
-        ``eta``; the buffers go first so peak memory does not grow."""
-        del self.kappa, self.psi, self.log_gamma
-        return _eta(log_bases, log_activations)
+def _widen(data: np.ndarray, fill, cols: np.ndarray, T: int) -> np.ndarray:
+    """A full-width array: ``data`` on the columns ``cols``, ``fill``
+    broadcast on the others."""
+    out = np.empty(data.shape[:-1] + (T,))
+    out[...] = fill
+    out[..., cols] = data
+    return out
 
 
 def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
@@ -529,45 +473,59 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
     A sweep is allocation update, Gamma updates, then the bound, run on
     plain arrays through the kernels behind ``update_eta``,
     ``update_variational`` and ``lower_bound``; the expected-count sums
-    are shared by the Gamma step and the bound.  When some columns of X
-    are all zero the kernels' special functions run only on the others
-    (``_DataColumns``), with bit-identical results.  Stops when the
-    relative bound change drops below ``opts.tol`` or after
+    are shared by the Gamma step and the bound.  Every per-column quantity
+    is computed on the columns of X that hold data only.  An all-zero
+    column gets no counts, so its activation shape is exactly 1 and its
+    mean the activation scale; its terms in the sums over time are folded
+    into one constant per basis, times the number of such columns.  The
+    first sweep is the exception: it reads the random start on every
+    column.  With no all-zero column this is the plain full-width sweep.
+    Stops when the relative bound change drops below ``opts.tol`` or after
     ``opts.max_iters`` sweeps; a non-converged model is returned flagged,
     not raised.  An all-zero observation short-circuits after the first
-    sweep since there is no mass to allocate.  The control estimates run
-    once, on the final state: no update reads them, so computing them
-    every sweep would change no result.
+    sweep since there is no mass to allocate.  The full-width model,
+    whose allocation comes from the log means the last sweep started
+    from, is built once at the end, and the control estimates run once,
+    on that final state: no update reads them.
     """
     opts = opts or FitOptions()
     X = _as_observation(X)
-    init = init_model(X, K, opts.seed)
-    rate_u, rate_w = init.prior_rate_u, init.prior_rate_w
-    ctrl_alpha, ctrl_beta = init.ctrl_alpha, init.ctrl_beta  # replaced below
-    log_bases, log_activations = init.log_bases, init.log_activations
-    activations = init.activations
-    del init  # frees the starting eta and Gamma state, which no sweep reads
+    a_shape, a_scale, b_shape, b_scale = _start(X, K, opts.seed)
+    rate_u, rate_w = FactorModel.prior_rate_u, FactorModel.prior_rate_w
+    T = X.shape[1]
     cols = np.flatnonzero(X.any(axis=0))
-    kernels = _DataColumns(X, K, cols) if cols.size < X.shape[1] else _AllColumns(X)
-    data = -float(special.gammaln(X + 1.0).sum())
-    zero_mass = float(X.sum()) == 0.0
+    n0 = T - cols.size
+    where = cols if n0 else None
+
+    def take(arr):
+        # np.take keeps C order, as the full-width arrays have; numpy sums
+        # eta over K in another order when K is the contiguous axis
+        return np.take(arr, cols, axis=1) if n0 else arr
+
+    x = take(X)
+    data = -float(special.gammaln(x + 1.0).sum())
+    x = x[:, None, :]  # broadcasts against eta
+    log_bases = special.psi(a_shape) + np.log(a_scale)
+    log_activations = special.psi(take(b_shape)) + np.log(take(b_scale))
+    sum_w = (b_shape * b_scale).sum(axis=1)
 
     trace: list[float] = []
     converged = False
-    previous = None
+    previous = w = None
     for _ in range(opts.max_iters):
-        logs = log_bases, log_activations
-        eta = kernels.eta(*logs)
-        kappa_u, kappa_w, alloc = kernels.counts(eta)
-        u, w = _gamma_step(
-            kappa_u, kappa_w, activations, rate_u, rate_w, kernels.digamma
-        )
-        log_bases, log_activations, activations = u.log_mean, w.log_mean, w.mean
-        elbo = _bound(
-            u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w, kernels.gammaln
-        )
+        # this sweep's allocation reads log_bases, and on the empty columns
+        # the log means of the previous w (the random start when None)
+        eta_bases, before = log_bases, w
+        eta = _eta(log_bases, log_activations, where)
+        kappa_u, kappa_w, alloc = _counts(x, eta, where)
+        u, w = _gamma_step(kappa_u, kappa_w, sum_w, rate_u, rate_w)
+        log_bases, log_activations = u.log_mean, w.log_mean
+        sum_w = w.mean.sum(axis=1)
+        if n0:
+            sum_w = sum_w + n0 * w.scale[:, 0]
+        elbo = _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w, n0)
         trace.append(elbo)
-        if zero_mass:
+        if not cols.size:  # no mass to allocate
             converged = True
             break
         if previous is not None:
@@ -576,11 +534,22 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
                 break
         previous = elbo
 
+    if n0:
+        if before is None:  # one sweep, which read the start on every column
+            eta = _eta(eta_bases, special.psi(b_shape) + np.log(b_scale))
+        else:
+            empty = _eta(eta_bases, special.psi(1.0) + np.log(before.scale))
+            eta = _widen(eta, empty, cols, T)
+        w = w._replace(
+            shape=_widen(w.shape, 1.0, cols, T),
+            mean=_widen(w.mean, w.scale, cols, T),
+            log_mean=_widen(w.log_mean, special.psi(1.0) + np.log(w.scale), cols, T),
+        )
     return update_control(FactorModel(
         **_fields(u, w),
-        eta=kernels.allocation(eta, *logs),
-        ctrl_alpha=ctrl_alpha,
-        ctrl_beta=ctrl_beta,
+        eta=eta,
+        ctrl_alpha=None,  # both set by update_control
+        ctrl_beta=None,
         K=K,
         prior_rate_u=rate_u,
         prior_rate_w=rate_w,
@@ -600,7 +569,9 @@ def select_order(
     """Pick the basis count maximizing the converged lower bound.
 
     Fits every K in [k_min, k_max] with a seed derived per K, and returns
-    the argmax; ties resolve toward the smaller K.
+    the argmax; ties resolve toward the smaller K.  Each fit's sweeps cost
+    time in the columns of X that hold data; the start it draws and the
+    model it returns are full width.
     """
     opts = opts or FitOptions()
     if not 1 <= k_min <= k_max:

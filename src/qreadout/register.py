@@ -96,12 +96,13 @@ class RegisterConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegisterConfig":
+        # no coercion: __post_init__ refuses 600.5 or true where an integer belongs
         return cls(
-            horizon=int(d["horizon"]),
-            dim=int(d["dim"]),
-            residual_strength=float(d.get("residual_strength", 0.3)),
-            seed=int(d.get("seed", 0)),
-            num_sources=int(d.get("num_sources", NUM_SOURCES)),
+            horizon=d["horizon"],
+            dim=d["dim"],
+            residual_strength=d.get("residual_strength", 0.3),
+            seed=d.get("seed", 0),
+            num_sources=d.get("num_sources", NUM_SOURCES),
         )
 
 

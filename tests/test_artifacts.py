@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from qreadout import artifacts, cli
 from qreadout.artifacts import _SLICE, write_csv, write_json
@@ -84,6 +84,18 @@ def written(value, directory: Path) -> str:
     return path.read_text()
 
 
+def assert_same_text(got: str, want: str) -> None:
+    """Equal texts.  A mismatch names its first differing offset: pytest's
+    own diff of two texts of thousands of lines takes minutes to build."""
+    if got != want:
+        i = next(
+            (i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+            min(len(got), len(want)),
+        )
+        lo = max(i - 40, 0)
+        pytest.fail(f"texts differ at offset {i}: {got[lo:i + 40]!r} != {want[lo:i + 40]!r}")
+
+
 @settings(max_examples=300, deadline=None)
 @given(value=json_values)
 def test_bytes_equal_indented_json_dumps(value, tmp_path_factory):
@@ -91,7 +103,13 @@ def test_bytes_equal_indented_json_dumps(value, tmp_path_factory):
     assert written(value, directory) == json.dumps(value, indent=2, sort_keys=True)
 
 
-@settings(max_examples=60, deadline=None)
+# no shrink phase: shrinking 2k-3k-item lists can run for many minutes; a
+# failing example is reported unshrunk
+@settings(
+    max_examples=60,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
 @given(
     numbers_list=st.one_of(long_number_lists, long_float_lists),
     nest=st.sampled_from(["bare", "in-dict", "in-list", "tuple"]),
@@ -106,7 +124,7 @@ def test_long_number_lists_equal_indented_json_dumps(
         "tuple": tuple(numbers_list),
     }[nest]
     directory = tmp_path_factory.getbasetemp()
-    assert written(value, directory) == json.dumps(value, indent=2, sort_keys=True)
+    assert_same_text(written(value, directory), json.dumps(value, indent=2, sort_keys=True))
 
 
 @pytest.mark.parametrize("extra,calls", [(0, 1), (1, 3)])
@@ -122,7 +140,7 @@ def test_distinct_floats_formatted_once(tmp_path, monkeypatch, extra, calls):
         return dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(artifacts.json, "dumps", counting)
-    assert written(floats, tmp_path) == expected
+    assert_same_text(written(floats, tmp_path), expected)
     assert len(seen) == calls
 
 

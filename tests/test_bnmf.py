@@ -295,6 +295,14 @@ class TestFit:
     def test_numpy_float_tol_accepted(self):
         assert bnmf.FitOptions(tol=np.float64(1e-6)).tol == 1e-6
 
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValidationError, match="K"):
+            bnmf.fit(random_matrix(0), 0)
+        with pytest.raises(ValidationError):
+            bnmf.fit(-random_matrix(0), 1)
+        with pytest.raises(ValidationError):
+            bnmf.fit(np.ones(4), 1)
+
     def test_nonconvergence_flagged_not_raised(self):
         X = random_matrix(9, T=48, scale=10.0)
         m = bnmf.fit(X, 3, bnmf.FitOptions(max_iters=2, tol=1e-15, seed=1))
@@ -337,11 +345,11 @@ class TestFitMatchesStepFunctions:
             bnmf.FitOptions(max_iters=2, tol=1e-15, seed=seed + 10),
         )
     ] + [(np.zeros((2, 16)), K, bnmf.FitOptions(max_iters=50, seed=K)) for K in (1, 2, 3)] + [
-        # all-zero columns run on the data columns only
         (X, K, opts)
         for seed, X in enumerate([
             zeroed(random_matrix(20, M=2, T=32, scale=2.0), some_columns(20, 32)),
             zeroed(random_matrix(21, M=3, T=40, scale=20.0), some_columns(21, 40)),
+            # one zero entry, no all-zero column
             zeroed(random_matrix(22, M=3, T=17, scale=20.0), (1, 5)),
             readme_observation(),
         ], start=20)
@@ -356,17 +364,43 @@ class TestFitMatchesStepFunctions:
         for X in (
             zeroed(random_matrix(30, M=2, T=32, scale=2.0), some_columns(30, 32)),
             zeroed(random_matrix(32, M=2, T=24), np.s_[:, np.arange(24) != 7]),
+            random_matrix(31, M=2, T=32, scale=2.0),
         )
     ]
 
     @pytest.mark.parametrize("X,K,opts", CASES)
     def test_bit_identical(self, X, K, opts):
+        """Exact where X has no all-zero column.  Where it has one, the fit
+        folds those columns into one constant per basis, which moves the
+        last bits of the sums over time: the same sweeps, and every value
+        within 1e-12 relative."""
         got, want = bnmf.fit(X, K, opts), reference_fit(X, K, opts)
-        assert got.elbo_trace == want.elbo_trace
         assert got.iterations == want.iterations
         assert got.converged == want.converged
+        if not X.any(axis=0).all():
+            close = {"rtol": 1e-12, "atol": 0}
+            np.testing.assert_allclose(got.elbo_trace, want.elbo_trace, **close)
+            for name in bnmf.FactorModel._ARRAY_FIELDS:
+                np.testing.assert_allclose(
+                    getattr(got, name), getattr(want, name), err_msg=name, **close
+                )
+            return
+        assert got.elbo_trace == want.elbo_trace
         for name in bnmf.FactorModel._ARRAY_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    @pytest.mark.parametrize("K", [1, 2, 4])
+    def test_empty_columns_give_a_valid_model(self, K):
+        X = zeroed(random_matrix(40, M=2, T=200, scale=5.0), some_columns(40, 200))
+        m = bnmf.fit(X, K, bnmf.FitOptions(max_iters=200, tol=1e-12, seed=K))
+        m.check_invariants()
+        assert m.eta.shape == (2, K, 200)
+        assert m.activations.shape == m.log_activations.shape == m.b_shape.shape == (K, 200)
+        trace = np.array(m.elbo_trace)
+        assert trace.size > 2
+        assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
+        # the widened state scores what its last sweep scored
+        assert bnmf.lower_bound(m, X) == pytest.approx(trace[-1], rel=1e-12)
 
     def test_returned_state_is_last_sweep(self):
         for seed in range(5):

@@ -428,6 +428,26 @@ class TestMain:
             assert payload["error"] == "ValidationError", stage
             assert name in payload["message"] and key in payload["message"], stage
 
+    @pytest.mark.parametrize("name,stage", [
+        ("observation.json", "fit"), ("ground_truth.json", "verify"),
+    ])
+    @pytest.mark.parametrize("key,value", [("horizon", 600.5), ("seed", True)])
+    def test_mistyped_embedded_config_exits_2(
+        self, tmp_path, capsys, pipeline_out, name, stage, key, value
+    ):
+        # the artifact's config is checked as strictly as the run's own
+        doc = config_doc(tmp_path, stage=stage)
+        out = Path(doc["output_dir"])
+        shutil.copytree(pipeline_out, out)
+        art = json.loads((out / name).read_text())
+        art["config"][key] = value
+        (out / name).write_text(json.dumps(art))
+        config = write_config(tmp_path, doc)
+        assert cli.main([stage, "--config", str(config)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert name in payload["message"] and key in payload["message"]
+
     def test_validate_subcommand_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, config_doc(tmp_path))
         assert cli.main(["validate", str(good)]) == 0
