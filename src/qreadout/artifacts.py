@@ -20,7 +20,11 @@ streamed, never held whole in memory.
 ``write_csv(header, rows, path)`` writes the bytes the standard ``csv``
 module's writer writes for rows of Python ints, floats and bools: each
 cell's ``repr`` (for these types the writer's own text, which needs no
-quoting), comma-separated, with CRLF line ends.
+quoting), comma-separated, with CRLF line ends.  A cell may also be a 1-D
+float array, which stands for its items as Python floats, one cell each.
+A channel row of 20000 steps holds about 53 distinct values, so when at
+most half an array's values are distinct, each distinct value is
+formatted once through the same lookup as above.
 """
 
 from __future__ import annotations
@@ -41,10 +45,21 @@ def write_json(doc, path: str | Path) -> None:
 
 
 def write_csv(header, rows, path: str | Path) -> None:
-    """Write the ``header`` names, then each row of Python numbers, as CSV."""
+    """Write the ``header`` names, then each row of numbers and float arrays, as CSV."""
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+        fh.writelines(map(_csv_line, rows))
+
+
+def _csv_line(row) -> str:
+    texts = []
+    for cell in row:
+        if isinstance(cell, np.ndarray):
+            lookup = _distinct_texts(cell, lambda values: list(map(repr, values)))
+            texts += lookup(0, len(cell)) if lookup else map(repr, cell.tolist())
+        else:
+            texts.append(repr(cell))
+    return ",".join(texts) + "\r\n"
 
 
 def _encode(o, level: int):
@@ -85,17 +100,29 @@ def _encode(o, level: int):
 def _number_slices(o, types: set, join: str):
     """A flat list of numbers as JSON text, ``_SLICE`` items at a time joined by ``join``."""
     if types == {float}:
-        # keyed by the bits, so -0.0 and 0.0 (and each NaN) keep their own text
-        bits = np.array(o).view(np.int64)
-        uniq = np.unique(bits)
-        if 2 * len(uniq) <= len(o):
-            texts = json.dumps(uniq.view(float).tolist())[1:-1].split(", ")
-            texts = np.array(texts, dtype=object)
-            # each slice looks its items up, so no full-length index is held
+        texts = _distinct_texts(o, lambda values: json.dumps(values)[1:-1].split(", "))
+        if texts is not None:
             for i in range(0, len(o), _SLICE):
-                where = np.searchsorted(uniq, bits[i : i + _SLICE])
-                yield join.join(texts[where].tolist())
+                yield join.join(texts(i, i + _SLICE))
             return
     # ints, which np.array would make floats, and lists of mostly distinct values
     for i in range(0, len(o), _SLICE):
         yield json.dumps(o[i : i + _SLICE])[1:-1].replace(", ", join)
+
+
+def _distinct_texts(floats, fmt):
+    """The texts of a flat list or array of floats, each distinct value formatted once.
+
+    ``fmt`` turns the list of distinct values into their texts.  Returns a
+    function that gives the texts of the items ``start:stop``, or ``None``
+    when more than half the values are distinct: then a lookup costs more
+    than formatting each item.
+    """
+    # keyed by the bits, so -0.0 and 0.0 (and each NaN) keep their own text
+    bits = np.array(floats, dtype=float).view(np.int64)
+    uniq = np.unique(bits)
+    if 2 * len(uniq) > len(floats):
+        return None
+    texts = np.array(fmt(uniq.view(float).tolist()), dtype=object)
+    # each call looks its items up, so no full-length index is held
+    return lambda start, stop: texts[np.searchsorted(uniq, bits[start:stop])].tolist()

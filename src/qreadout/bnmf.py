@@ -364,12 +364,10 @@ def update_control(model: FactorModel) -> FactorModel:
     sweep remains an ascent on the bound.
     """
     sum_w = model.activations.sum(axis=1)[None, :]  # 1 x K
-    e_u = _floored(model.bases)
-    e_ctrl = 0.5 * (-sum_w + np.sqrt(sum_w**2 + 4.0 * sum_w / e_u))
+    e_ctrl = _positive_root(sum_w, sum_w / _floored(model.bases))
 
     sum_u = model.bases.sum(axis=0)[:, None]  # K x 1
-    e_w = _floored(model.activations)
-    f_ctrl = 0.5 * (-sum_u + np.sqrt(sum_u**2 + 4.0 * sum_u / e_w))
+    f_ctrl = _positive_root(sum_u, sum_u / _floored(model.activations))
 
     if not (np.all(np.isfinite(e_ctrl)) and np.all(np.isfinite(f_ctrl))):
         raise NumericalDomainError("control estimate is non-finite")
@@ -378,6 +376,15 @@ def update_control(model: FactorModel) -> FactorModel:
         ctrl_alpha=np.maximum(e_ctrl, EPS),
         ctrl_beta=np.maximum(f_ctrl, EPS),
     )
+
+
+def _positive_root(s, c):
+    """The positive root of x^2 + s x - c = 0, for s, c > 0.
+
+    Written as 2c / (s + sqrt(s^2 + 4c)), which holds no subtraction:
+    the textbook (-s + sqrt(s^2 + 4c)) / 2 cancels when s^2 dwarfs 4c.
+    """
+    return 2.0 * c / (s + np.sqrt(s**2 + 4.0 * c))
 
 
 def lower_bound(model: FactorModel, X) -> float:

@@ -19,7 +19,7 @@ Exit codes: 0 success, 2 validation failure, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import itertools
+import functools
 import json
 import sys
 import time
@@ -277,13 +277,9 @@ def _save_csv(cfg: RunConfig, record: RunRecord, key: str, name: str, header, ro
     record.artifacts[key] = path
 
 
-def _save_channels(cfg: RunConfig, record: RunRecord, key: str, name: str, rows) -> None:
-    """Channels-by-time rows as CSV: header ``m,t0..``, one line per channel."""
-    # lazy, so the header names are freed once written and only one row's
-    # Python floats are alive at a time
-    header = itertools.chain(["m"], (f"t{t}" for t in range(rows.shape[1])))
-    lines = ([m, *row.tolist()] for m, row in enumerate(rows))
-    _save_csv(cfg, record, key, name, header, lines)
+def _save_channels(cfg: RunConfig, record: RunRecord, key: str, name: str, header, rows) -> None:
+    """Channels-by-time rows as CSV under ``header``: each line the channel, then its row."""
+    _save_csv(cfg, record, key, name, header, ([m, row] for m, row in enumerate(rows)))
 
 
 # each artifact a stage reads: the stage that writes it and the parser of its JSON
@@ -335,8 +331,10 @@ def _stage_simulate(cfg: RunConfig, record: RunRecord) -> None:
         cfg, record, "ground_truth.json",
         register.ground_truth_to_dict(gt, cfg.register), (gt, cfg.register),
     )
-    _save_channels(cfg, record, "ground_truth_csv", "ground_truth.csv", gt.source_rows)
-    _save_channels(cfg, record, "observation_csv", "observation.csv", obs.values)
+    # the names m,t0..t{T-1}, built once for both channel files
+    header = ["m", *[f"t{t}" for t in range(cfg.register.horizon)]]
+    _save_channels(cfg, record, "ground_truth_csv", "ground_truth.csv", header, gt.source_rows)
+    _save_channels(cfg, record, "observation_csv", "observation.csv", header, obs.values)
     _save(cfg, record, "observation.json", obs.to_dict(), obs)
 
 
@@ -549,7 +547,9 @@ def _build_config(args, stage: str) -> RunConfig:
     return RunConfig(stage=stage, seed=args.seed, output_dir=args.out, document=doc)
 
 
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and reused by every ``main`` call."""
     parser = argparse.ArgumentParser(
         prog="qreadout",
         description="Blind two-source register readout pipeline.",

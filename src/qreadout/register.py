@@ -230,13 +230,12 @@ def _bands(dim: int) -> tuple[np.ndarray, np.ndarray]:
     return lo, hi
 
 
-def _row_from_weights(weights: np.ndarray, windows: list[slice], horizon: int) -> np.ndarray:
+def _row_from_weights(weights: np.ndarray, edges: np.ndarray, horizon: int) -> np.ndarray:
+    """A raised-cosine bump in the window of each positively weighted component."""
     row = np.zeros(horizon)
-    for i, w in enumerate(weights):
-        if w <= 0.0:
-            continue
-        win = windows[i]
-        row[win] += np.sqrt(w) * _bump(win.stop - win.start)
+    for i in np.flatnonzero(weights > 0.0):
+        start, stop = edges[i], edges[i + 1]
+        row[start:stop] = np.sqrt(weights[i]) * _bump(stop - start)
     return row
 
 
@@ -251,7 +250,7 @@ def generate_input(cfg: RegisterConfig) -> GroundTruth:
     """
     rng = np.random.default_rng(cfg.seed)
     n, horizon = cfg.dim, cfg.horizon
-    windows = component_windows(horizon, n)
+    edges = _window_edges(horizon, n)
 
     lo, hi = _bands(n)
 
@@ -263,11 +262,11 @@ def generate_input(cfg: RegisterConfig) -> GroundTruth:
     raw = rng.random(hi.size) + 0.2
     residual_shape[hi] = raw / raw.sum()
 
-    target_row = _row_from_weights(input_weights, windows, horizon)
+    target_row = _row_from_weights(input_weights, edges, horizon)
     rms = np.sqrt(np.mean(target_row**2))
     if rms > 0:
         target_row = target_row * (_ROW_RMS / rms)
-    residual_row = _row_from_weights(residual_shape, windows, horizon)
+    residual_row = _row_from_weights(residual_shape, edges, horizon)
 
     strength = cfg.residual_strength
     if strength == 0.0:

@@ -147,25 +147,33 @@ def test_distinct_floats_formatted_once(tmp_path, monkeypatch, extra, calls):
 @pytest.mark.parametrize("integral", [False, True])
 def test_csv_bytes_match_csv_writer(tmp_path, integral):
     # reference: csv.writer on the same rows of Python numbers, laid out as
-    # the channel files: index first, then one value per time step
+    # the channel files: index first, then one value per time step, which
+    # write_csv is handed as the Python numbers or as the row's float array
     rng = np.random.default_rng(5)
     extra = [7, -3, 2**70, True, False, float("nan"), float("inf"), -float("inf"), -0.0]
+    few = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 1e-300, 3.5]
     for shape in [(2, 1), (2, 7), (3, 2048)]:
         values = rng.exponential(30.0, size=shape)
         if integral:
             values = np.floor(values)
         values[0, 0] = 0.0
+        # rows of a few repeated values (as the channel files hold) and the
+        # floored rows take the distinct-value path; the unfloored rows are
+        # mostly distinct, so each of their cells is formatted alone
+        repeated = rng.choice(np.array(few), size=(2, shape[1]))
+        arrays = [*values, *repeated]
         header = ["m"] + [f"t{t}" for t in range(shape[1])]
-        rows = [[m, *row.tolist()] for m, row in enumerate(values)]
+        rows = [[m, *row.tolist()] for m, row in enumerate(arrays)]
         rows.append([len(rows), *extra])
         expected = tmp_path / "expected.csv"
         with open(expected, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
-        got = tmp_path / "got.csv"
-        write_csv(header, rows, got)
-        assert got.read_bytes() == expected.read_bytes()
+        for handed in [rows, [*([m, row] for m, row in enumerate(arrays)), rows[-1]]]:
+            got = tmp_path / "got.csv"
+            write_csv(header, handed, got)
+            assert got.read_bytes() == expected.read_bytes()
 
 
 def test_pipeline_artifacts_are_indented_sorted_json(tmp_path):

@@ -183,6 +183,29 @@ class TestUpdateControl:
         out = bnmf.update_control(m)
         assert out.ctrl_alpha[0, 0] < 1e-5
 
+    def test_estimates_within_ulps_of_mpmath_when_s_dwarfs_4_over_mean(self):
+        # s E >> 4, where (-s + sqrt(s^2 + 4 s/E)) / 2 loses most of its bits
+        # to cancellation; the estimates must stay within a few ulps of the root
+        scales = np.array([10.0, 1e3, 1e6])  # s E from 400 to 8e12
+        X = np.ones((2, 4))
+        m = bnmf.init_model(X, 3, seed=0)
+        m = replace(m, bases=np.tile(scales, (2, 1)), activations=np.tile(scales[:, None], 4))
+        out = bnmf.update_control(m)
+
+        def root(s, mean):
+            with mpmath.workdps(60):
+                s, mean = mpmath.mpf(float(s)), mpmath.mpf(float(mean))
+                return float((-s + mpmath.sqrt(s**2 + 4 * s / mean)) / 2)
+
+        s_w = m.activations.sum(axis=1)
+        s_u = m.bases.sum(axis=0)
+        for i, k in np.ndindex(m.bases.shape):
+            for got, expected in [
+                (out.ctrl_alpha[i, k], root(s_w[k], m.bases[i, k])),
+                (out.ctrl_beta[k, i], root(s_u[k], m.activations[k, i])),
+            ]:
+                assert abs(got - expected) <= 4 * np.spacing(expected)
+
     def test_quadratic_residuals_on_random_states(self):
         for seed in range(20):
             X = random_matrix(seed, T=9, scale=3.0)

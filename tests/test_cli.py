@@ -513,6 +513,25 @@ class TestMain:
         b = (tmp_path / "out" / "observation.json").read_bytes()
         assert a != b
 
+    def test_one_parser_serves_every_call(self, tmp_path, capsys):
+        # a rejected argv and a validate between two staged runs leave the
+        # parser as it was: the second run writes the same artifacts
+        path = write_config(tmp_path, config_doc(tmp_path))
+        stages = ["simulate", "fit", "partition", "recover", "verify"]
+
+        def staged(out):
+            for stage in stages:
+                assert cli.main([stage, "--config", str(path), "--out", str(out)]) == 0
+
+        staged(tmp_path / "first")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["fit", "--seed", "three"])
+        assert exc.value.code == 2
+        assert cli.main(["validate", str(path)]) == 0
+        staged(tmp_path / "second")
+        assert artifact_bytes(tmp_path / "first") == artifact_bytes(tmp_path / "second")
+        assert cli._parser() is cli._parser()
+
 
 # documents built from the schema's own names, holding arbitrary JSON values
 SECTION_KEYS = sorted(
