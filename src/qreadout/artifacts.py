@@ -100,10 +100,10 @@ def _encode(o, level: int):
 def _number_slices(o, types: set, join: str):
     """A flat list of numbers as JSON text, ``_SLICE`` items at a time joined by ``join``."""
     if types == {float}:
-        texts = _distinct_texts(o, lambda values: json.dumps(values)[1:-1].split(", "))
-        if texts is not None:
+        lookup = _distinct_texts(o, lambda values: json.dumps(values)[1:-1].split(", "))
+        if lookup is not None:
             for i in range(0, len(o), _SLICE):
-                yield join.join(texts(i, i + _SLICE))
+                yield join.join(lookup(i, i + _SLICE))
             return
     # ints, which np.array would make floats, and lists of mostly distinct values
     for i in range(0, len(o), _SLICE):

@@ -373,18 +373,25 @@ def update_control(model: FactorModel) -> FactorModel:
         raise NumericalDomainError("control estimate is non-finite")
     return replace(
         model,
-        ctrl_alpha=np.maximum(e_ctrl, EPS),
-        ctrl_beta=np.maximum(f_ctrl, EPS),
+        ctrl_alpha=np.maximum(e_ctrl, EPS, out=e_ctrl),
+        ctrl_beta=np.maximum(f_ctrl, EPS, out=f_ctrl),
     )
 
 
-def _positive_root(s, c):
-    """The positive root of x^2 + s x - c = 0, for s, c > 0.
+def _positive_root(s, c: np.ndarray) -> np.ndarray:
+    """The positive root of x^2 + s x - c = 0, for s, c > 0, written over ``c``.
 
-    Written as 2c / (s + sqrt(s^2 + 4c)), which holds no subtraction:
+    Computed as 2c / (s + sqrt(s^2 + 4c)), which holds no subtraction:
     the textbook (-s + sqrt(s^2 + 4c)) / 2 cancels when s^2 dwarfs 4c.
+    In place, because ``c`` is K x T and each fresh temporary of that size
+    faults in new pages.
     """
-    return 2.0 * c / (s + np.sqrt(s**2 + 4.0 * c))
+    den = 4.0 * c
+    den += s**2
+    np.sqrt(den, out=den)
+    den += s
+    c *= 2.0
+    return np.divide(c, den, out=c)
 
 
 def lower_bound(model: FactorModel, X) -> float:
