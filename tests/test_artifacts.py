@@ -157,9 +157,9 @@ def test_csv_bytes_match_csv_writer(tmp_path, integral):
         if integral:
             values = np.floor(values)
         values[0, 0] = 0.0
-        # rows of a few repeated values (as the channel files hold) and the
-        # floored rows take the distinct-value path; the unfloored rows are
-        # mostly distinct, so each of their cells is formatted alone
+        # handed as arrays, rows of a few repeated values (as the channel
+        # files hold) and the floored rows take the distinct-value path; the
+        # unfloored rows are mostly distinct, so their items are formatted alone
         repeated = rng.choice(np.array(few), size=(2, shape[1]))
         arrays = [*values, *repeated]
         header = ["m"] + [f"t{t}" for t in range(shape[1])]
