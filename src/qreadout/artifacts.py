@@ -1,21 +1,25 @@
 """JSON and CSV artifact writers shared by every stage.
 
 ``write_json(doc, path)`` writes exactly the bytes of
-``json.dumps(doc, indent=2, sort_keys=True)``.  ``json`` formats indented
-output with its pure-Python encoder, one number at a time, which makes
-the large numeric lists of the stage artifacts slow to write.  Here the
-containers are walked as the indenting encoder walks them, and each flat
-list of numbers goes through the C encoder in fixed slices: compact
-``json.dumps`` separates items with ``", "``, no number's text contains
-that, so replacing it with ``","`` plus the line indent gives the
-indented layout.  A list of floats alone usually repeats a few values
-(the activations of the register's empty columns, its zero magnitudes),
-so when at most half its items are distinct, each distinct value is
-formatted once by the C encoder, keyed by its bits so that -0.0 and 0.0
-keep their own text, and every slice joins the texts of its items.
-Every other value is encoded by ``json.dumps`` itself, so NaN, Infinity,
-string escapes and empty containers come out as before.  The file is
-streamed, never held whole in memory.
+``json.dumps(doc, indent=2, sort_keys=True)``, where a float
+``np.ndarray`` may stand wherever a list may, meaning its ``.tolist()``:
+a 1-D array a flat list of numbers, an n-D array the list of its rows.
+So the stages hand their matrices over as arrays, and no Python list of
+their floats is built.  ``json`` formats indented output with its
+pure-Python encoder, one number at a time, which makes the large numeric
+lists of the stage artifacts slow to write.  Here the containers are
+walked as the indenting encoder walks them, and each flat list of numbers
+goes through the C encoder in fixed slices: compact ``json.dumps``
+separates items with ``", "``, no number's text contains that, so
+replacing it with ``","`` plus the line indent gives the indented layout.
+A list of floats alone usually repeats a few values (the activations of
+the register's empty columns, its zero magnitudes), so when at most half
+its items are distinct, each distinct value is formatted once by the C
+encoder, and every slice joins the texts of its items.  The distinct
+values are found by sorting the floats' bits, so that -0.0 and 0.0 keep
+their own text.  Every other value is encoded by ``json.dumps`` itself, so
+NaN, Infinity, string escapes and empty containers come out as before.
+The file is streamed, never held whole in memory.
 
 ``write_csv(header, rows, path)`` writes the bytes the standard ``csv``
 module's writer writes for rows of Python ints, floats and bools: each
@@ -63,6 +67,10 @@ def _csv_line(row) -> str:
 
 
 def _encode(o, level: int):
+    if isinstance(o, np.ndarray) and not (o.dtype == float and o.ndim == 1 and len(o)):
+        # a nonempty 1-D float array is encoded as it is, an n-D one as the
+        # list of its rows; any other array (ints, 0-d, empty) as its .tolist()
+        o = list(o) if o.dtype == float and o.ndim > 1 else o.tolist()
     inner = "\n" + _INDENT * (level + 1)
     if isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
         sep = "{" + inner
@@ -71,9 +79,9 @@ def _encode(o, level: int):
             yield from _encode(value, level + 1)
             sep = "," + inner
         yield "\n" + _INDENT * level + "}"
-    elif isinstance(o, (list, tuple)) and o:
+    elif isinstance(o, (list, tuple, np.ndarray)) and len(o):
         sep = "[" + inner
-        types = set(map(type, o))
+        types = {float} if isinstance(o, np.ndarray) else set(map(type, o))
         if types <= {int, float}:
             for text in _number_slices(o, types, "," + inner):
                 yield sep
@@ -98,30 +106,39 @@ def _encode(o, level: int):
 
 
 def _number_slices(o, types: set, join: str):
-    """A flat list of numbers as JSON text, ``_SLICE`` items at a time joined by ``join``."""
+    """A flat list of numbers or 1-D float array as JSON text, ``_SLICE`` items at a time joined by ``join``."""
     if types == {float}:
         lookup = _distinct_texts(o, lambda values: json.dumps(values)[1:-1].split(", "))
         if lookup is not None:
             for i in range(0, len(o), _SLICE):
                 yield join.join(lookup(i, i + _SLICE))
             return
-    # ints, which np.array would make floats, and lists of mostly distinct values
+    # ints, which np.asarray would make floats, and mostly distinct values
+    if isinstance(o, np.ndarray):
+        o = o.tolist()
     for i in range(0, len(o), _SLICE):
         yield json.dumps(o[i : i + _SLICE])[1:-1].replace(", ", join)
 
 
 def _distinct_texts(floats, fmt):
-    """The texts of a flat list or array of floats, each distinct value formatted once.
+    """The texts of a flat list or 1-D array of floats, each distinct value formatted once.
 
     ``fmt`` turns the list of distinct values into their texts.  Returns a
     function that gives the texts of the items ``start:stop``, or ``None``
     when more than half the values are distinct: then a lookup costs more
     than formatting each item.
     """
-    # keyed by the bits, so -0.0 and 0.0 (and each NaN) keep their own text
-    bits = np.array(floats, dtype=float).view(np.int64)
-    uniq = np.unique(bits)
-    if 2 * len(uniq) > len(floats):
+    # keyed by the bits, so -0.0 and 0.0 (and each NaN) keep their own text;
+    # a float64 array is viewed as it is, whatever its strides
+    bits = np.asarray(floats, dtype=float).view(np.int64)
+    # the distinct bits are the starts of the runs of the sorted bits:
+    # np.unique hashes first, several times slower here
+    ordered = np.sort(bits)
+    starts = np.empty(len(ordered), dtype=bool)
+    starts[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
+    uniq = ordered[starts]
+    if 2 * len(uniq) > len(bits):
         return None
     texts = np.array(fmt(uniq.view(float).tolist()), dtype=object)
     # each call looks its items up, so no full-length index is held

@@ -178,7 +178,8 @@ class FitResult:
                 raise ValidationError(f"{name} must be finite and nonnegative")
 
     def to_dict(self) -> dict:
-        # matrices go out row-major with their shapes explicit
+        # matrices go out row-major with their shapes explicit, as flat
+        # arrays for artifacts.write_json; json.dumps needs their .tolist()
         doc = {
             "K": self.K,
             "converged": self.converged,
@@ -189,7 +190,7 @@ class FitResult:
             arr = getattr(self, name)
             doc[name] = {
                 "shape": list(arr.shape),
-                "data": arr.ravel().tolist(),
+                "data": arr.ravel(),
             }
         return doc
 
@@ -262,8 +263,13 @@ def _start(X: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, ...]:
 
     a_shape = 1.0 + rng.uniform(0.0, 0.05, size=(M, K))
     a_scale = row_scale[:, None] * rng.uniform(0.9, 1.1, size=(M, K)) / a_shape
-    b_shape = 1.0 + rng.uniform(0.0, 0.05, size=(K, T))
-    b_scale = col_scale[None, :] * rng.uniform(0.9, 1.1, size=(K, T)) / b_shape
+    # the K x T draws are finished in place: the same operations in the
+    # same order, with no fresh K x T temporaries
+    b_shape = rng.uniform(0.0, 0.05, size=(K, T))
+    b_shape += 1.0
+    b_scale = rng.uniform(0.9, 1.1, size=(K, T))
+    b_scale *= col_scale
+    b_scale /= b_shape
     return a_shape, a_scale, b_shape, b_scale
 
 

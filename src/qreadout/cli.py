@@ -119,21 +119,26 @@ class RunRecord:
         }
 
 
-def _read_config(path: str | Path):
-    """The parsed JSON of a config file; an unreadable file is a validation failure."""
+def _read_config(path: str | Path) -> tuple[object, str | None]:
+    """The parsed JSON of a config file and ``None``, or ``None`` and why it is not JSON.
+
+    An unreadable file is a validation failure.
+    """
     try:
         with open(path) as fh:
-            return json.load(fh)
+            return json.load(fh), None
     except OSError as exc:
         raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+    # bad JSON or UTF-8 and an integer past int's digit limit raise
+    # ValueError; nesting past the recursion limit raises RecursionError
+    except (ValueError, RecursionError) as exc:
+        return None, f"config is not valid JSON: {exc}"
 
 
 def validate(config_path: str | Path) -> list[str]:
     """Schema-check a config file; returns all violations found."""
-    try:
-        return validate_document(_read_config(config_path))
-    except json.JSONDecodeError as exc:
-        return [f"config is not valid JSON: {exc}"]
+    doc, not_json = _read_config(config_path)
+    return [not_json] if not_json else validate_document(doc)
 
 
 def validate_document(doc) -> list[str]:
@@ -316,8 +321,9 @@ def _load(cfg: RunConfig, record: RunRecord, name: str):
     try:
         with open(path) as fh:
             return parse(json.load(fh, parse_float=_FloatMemo().__getitem__))
-    # the parsers' own checks raise ValueError subclasses
-    except (ValueError, KeyError, TypeError) as exc:
+    # the parsers' own checks raise ValueError subclasses; nesting past the
+    # recursion limit raises RecursionError
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:
         raise ValidationError(
             f"malformed artifact {name} ({type(exc).__name__}: {exc}); "
             f"rerun the {producer} stage"
@@ -540,10 +546,9 @@ def run(cfg: RunConfig) -> RunRecord:
 
 
 def _build_config(args, stage: str) -> RunConfig:
-    try:
-        doc = _read_config(args.config) if args.config else {}
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config is not valid JSON: {exc}") from exc
+    doc, not_json = _read_config(args.config) if args.config else ({}, None)
+    if not_json:
+        raise ValidationError(not_json)
     return RunConfig(stage=stage, seed=args.seed, output_dir=args.out, document=doc)
 
 

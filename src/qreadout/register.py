@@ -150,10 +150,12 @@ class GroundTruth:
         return self.source_rows.shape[1]
 
     def to_dict(self) -> dict:
+        # the arrays as they are, for artifacts.write_json; json.dumps
+        # needs their .tolist()
         return {
-            "source_rows": self.source_rows.tolist(),
-            "input_weights": self.input_weights.tolist(),
-            "residual_weights": self.residual_weights.tolist(),
+            "source_rows": self.source_rows,
+            "input_weights": self.input_weights,
+            "residual_weights": self.residual_weights,
         }
 
     @classmethod
@@ -188,7 +190,8 @@ class ObservationMatrix:
         return self.values.sum(axis=0)
 
     def to_dict(self) -> dict:
-        return {"config": self.metadata.to_dict(), "values": self.values.tolist()}
+        # the values as they are, for artifacts.write_json
+        return {"config": self.metadata.to_dict(), "values": self.values}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservationMatrix":

@@ -127,10 +127,47 @@ def test_long_number_lists_equal_indented_json_dumps(
     assert_same_text(written(value, directory), json.dumps(value, indent=2, sort_keys=True))
 
 
+# float arrays stand for their .tolist(): 1-D arrays drawn as the float
+# lists above (across slice edges, both sides of the half-distinct edge,
+# with -0.0, NaN and ±inf), laid out as 2-D rows, as strided views, and
+# empty arrays
+float_arrays = st.one_of(
+    long_float_lists.map(np.array),
+    st.builds(
+        lambda floats, rows: np.array(floats[: len(floats) // rows * rows]).reshape(rows, -1),
+        long_float_lists,
+        st.integers(1, 3),
+    ),
+    st.builds(lambda floats, step: np.array(floats)[::step], long_float_lists, st.integers(2, 3)),
+    st.builds(
+        lambda floats: np.array(floats[: len(floats) // 2 * 2]).reshape(-1, 2).T[:, ::2],
+        long_float_lists,
+    ),
+    st.sampled_from([np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3))]),
+)
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+)
+@given(array=float_arrays, nest=st.sampled_from(["bare", "in-dict", "in-list"]))
+def test_float_arrays_equal_indented_json_dumps_of_their_lists(array, nest, tmp_path_factory):
+    value, as_lists = {
+        "bare": (array, array.tolist()),
+        "in-dict": ({"data": array, "shape": [1]}, {"data": array.tolist(), "shape": [1]}),
+        "in-list": ([array, [1.5, True]], [array.tolist(), [1.5, True]]),
+    }[nest]
+    directory = tmp_path_factory.getbasetemp()
+    assert_same_text(written(value, directory), json.dumps(as_lists, indent=2, sort_keys=True))
+
+
 @pytest.mark.parametrize("extra,calls", [(0, 1), (1, 3)])
 def test_distinct_floats_formatted_once(tmp_path, monkeypatch, extra, calls):
     # 2 * _SLICE + 2 items: the distinct values in one encoder call, or the
-    # three slices when more than half the values are distinct
+    # three slices when more than half the values are distinct; the same
+    # for the list and for its array
     floats = half_distinct_floats(2 * _SLICE + 2, _SLICE + 1 + extra, seed=7)
     expected = json.dumps(floats, indent=2, sort_keys=True)
     dumps, seen = json.dumps, []
@@ -140,8 +177,10 @@ def test_distinct_floats_formatted_once(tmp_path, monkeypatch, extra, calls):
         return dumps(obj, *args, **kwargs)
 
     monkeypatch.setattr(artifacts.json, "dumps", counting)
-    assert_same_text(written(floats, tmp_path), expected)
-    assert len(seen) == calls
+    for handed in (floats, np.array(floats)):
+        seen.clear()
+        assert_same_text(written(handed, tmp_path), expected)
+        assert len(seen) == calls
 
 
 @pytest.mark.parametrize("integral", [False, True])

@@ -7,6 +7,7 @@ import pytest
 from scipy import optimize, special
 
 from qreadout import bnmf, register
+from qreadout.artifacts import write_json
 from qreadout.errors import DimensionError, ValidationError
 
 
@@ -470,10 +471,13 @@ class TestSelectOrder:
 
 
 class TestSerialization:
-    def test_model_json_roundtrip(self):
+    def test_model_json_roundtrip(self, tmp_path):
         X = random_matrix(12, T=8)
         m = bnmf.fit(X, 2, bnmf.FitOptions(max_iters=20, tol=1e-8, seed=3))
-        doc = json.loads(json.dumps(m.result().to_dict()))
+        # to_dict hands its matrices over as arrays, which write_json takes
+        write_json(m.result().to_dict(), tmp_path / "model.json")
+        with open(tmp_path / "model.json") as fh:
+            doc = json.load(fh)
         assert doc["bases"]["shape"] == [2, 2]
         assert doc["activations"]["shape"] == [2, 8]
         assert "eta" not in doc

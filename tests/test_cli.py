@@ -359,7 +359,7 @@ class TestMain:
         assert payload["error"] == "ValidationError"
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("damage", ["truncated", "missing-key"])
+    @pytest.mark.parametrize("damage", ["truncated", "missing-key", "nested"])
     @pytest.mark.parametrize(
         "name,key,stage",
         [
@@ -379,6 +379,9 @@ class TestMain:
         if damage == "truncated":
             text = path.read_text()
             path.write_text(text[: len(text) // 2])
+        elif damage == "nested":
+            # deeper than the recursion limit
+            path.write_text("[" * 200000 + "]" * 200000)
         else:
             art = json.loads(path.read_text())
             del art[key]
@@ -447,6 +450,27 @@ class TestMain:
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ValidationError"
         assert name in payload["message"] and key in payload["message"]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"seed": 3, "note": "caf\xe9"}'.encode("latin-1"),
+            b'{"seed": ' + b"1" * 4301 + b"}",
+            b"[" * 100000 + b"]" * 100000,
+        ],
+        ids=["not-utf-8", "int-past-digit-limit", "nested-past-recursion-limit"],
+    )
+    def test_undecodable_config_exits_2(self, tmp_path, capsys, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        assert cli.main(["validate", str(path)]) == 2
+        assert "config is not valid JSON" in capsys.readouterr().out
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert "config is not valid JSON" in payload["message"]
+        assert not out.exists()
 
     def test_validate_subcommand_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, config_doc(tmp_path))
