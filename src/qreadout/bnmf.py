@@ -282,22 +282,31 @@ def update_eta(model: FactorModel, X) -> FactorModel:
     return replace(model, eta=_eta(model.log_bases, model.log_activations))
 
 
-def _eta(log_bases: np.ndarray, log_activations: np.ndarray, cols=None) -> np.ndarray:
-    """The allocation; ``cols`` names the observation columns that the
-    last axis holds, for the error message (all of them when None)."""
+def _eta(log_bases: np.ndarray, log_activations: np.ndarray) -> np.ndarray:
     logits = log_bases[:, :, None] + log_activations[None, :, :]
     if not np.isfinite(logits).all():
-        idx = _first_non_finite(logits, cols)
-        raise NumericalDomainError(f"non-finite log expectation at index {idx}")
+        raise _logit_error(_first_non_finite(logits))
     logits -= logits.max(axis=1, keepdims=True)
     eta = np.exp(logits, out=logits)
     eta /= eta.sum(axis=1, keepdims=True)
     return eta
 
 
-def _first_non_finite(arr: np.ndarray, cols) -> tuple:
-    idx = tuple(np.argwhere(~np.isfinite(arr))[0])
-    return idx if cols is None else idx[:-1] + (cols[idx[-1]],)
+def _first_non_finite(arr: np.ndarray, cols=None) -> tuple[int, ...] | None:
+    """Index of the first non-finite item of ``arr`` as plain ints, None
+    when every item is finite; ``cols`` names the observation columns
+    that the last axis holds (all of them when None)."""
+    bad = np.argwhere(~np.isfinite(arr))
+    if not bad.size:
+        return None
+    idx = [int(i) for i in bad[0]]
+    if cols is not None:
+        idx[-1] = int(cols[idx[-1]])
+    return tuple(idx)
+
+
+def _logit_error(idx: tuple) -> NumericalDomainError:
+    return NumericalDomainError(f"non-finite log expectation at index {idx}")
 
 
 class _Gamma(NamedTuple):
@@ -420,25 +429,26 @@ def lower_bound(model: FactorModel, X) -> float:
     )
 
 
-def _counts(x: np.ndarray, eta: np.ndarray, cols=None) -> tuple[np.ndarray, np.ndarray, float]:
+def _counts(x: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Expected counts E(kappa) = X * eta summed over time (M x K) and over
     sources (K x T), and the allocation term sum E(kappa) log eta."""
     e_kappa = x * eta  # M x K x T
     kappa_u, kappa_w = e_kappa.sum(axis=2), e_kappa.sum(axis=0)
     alloc = special.xlogy(e_kappa, eta, out=e_kappa)
     if not np.isfinite(alloc).all():
-        idx = _first_non_finite(alloc, cols)
-        raise NumericalDomainError(
-            f"allocation entropy has log of a nonpositive argument at index {idx}"
-        )
+        raise _allocation_error(_first_non_finite(alloc))
     return kappa_u, kappa_w, float(alloc.sum())
 
 
-def _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w, n0=0) -> float:
+def _allocation_error(idx: tuple) -> NumericalDomainError:
+    return NumericalDomainError(
+        f"allocation entropy has log of a nonpositive argument at index {idx}"
+    )
+
+
+def _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w) -> float:
     """Lower bound of one state from its Gamma posteriors and ``_counts``;
-    ``data`` is -sum(log X_mt!).  ``w`` holds the activations of the
-    columns with data; each of ``n0`` more columns holds no counts, so its
-    activation shape is 1 and its mean the scale."""
+    ``data`` is -sum(log X_mt!)."""
     recon = float((u.mean @ w.mean).sum())
     data -= alloc
 
@@ -454,15 +464,13 @@ def _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w, n0=0) -> float:
     ent_w = float(_gamma_entropy(w).sum())
 
     total = -recon + data + cross_u + cross_w + prior_u + prior_w + ent_u + ent_w
-    if n0:
-        # an empty column's recon, prior and entropy terms; its cross and
-        # allocation terms are 0, and so are (shape - 1) psi and log Gamma(1)
-        s = w.scale[:, 0]
-        empty = np.log(rate_w) + np.log(_floored(s)) + 1.0 - (u.mean.sum(axis=0) + rate_w) * s
-        total += n0 * float(empty.sum())
     if not math.isfinite(total):
-        raise NumericalDomainError("lower bound evaluated to a non-finite value")
+        raise _bound_error()
     return total
+
+
+def _bound_error() -> NumericalDomainError:
+    return NumericalDomainError("lower bound evaluated to a non-finite value")
 
 
 def _gamma_entropy(g: _Gamma) -> np.ndarray:
@@ -490,28 +498,35 @@ def _widen(data: np.ndarray, fill, cols: np.ndarray, T: int) -> np.ndarray:
 def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
     """Run the full variational loop until the bound stabilizes.
 
-    A sweep is allocation update, Gamma updates, then the bound, run on
-    plain arrays through the kernels behind ``update_eta``,
-    ``update_variational`` and ``lower_bound``; the expected-count sums
-    are shared by the Gamma step and the bound.  Every per-column quantity
-    is computed on the columns of X that hold data only.  An all-zero
-    column gets no counts, so its activation shape is exactly 1 and its
-    mean the activation scale; its terms in the sums over time are folded
-    into one constant per basis, times the number of such columns.  The
-    first sweep is the exception: it reads the random start on every
-    column.  With no all-zero column this is the plain full-width sweep.
-    Stops when the relative bound change drops below ``opts.tol`` or after
-    ``opts.max_iters`` sweeps; a non-converged model is returned flagged,
-    not raised.  An all-zero observation short-circuits after the first
-    sweep since there is no mass to allocate.  The full-width model,
-    whose allocation comes from the log means the last sweep started
-    from, is built once at the end, and the control estimates run once,
-    on that final state: no update reads them.
+    A sweep is allocation update, Gamma updates, then the bound: the
+    arithmetic of ``update_eta``, ``update_variational`` and
+    ``lower_bound``, with the same operations in the same order, fused
+    into one pass over plain arrays.  The expected-count sums are shared
+    by the Gamma step and the bound; the M x K x T allocation and expected
+    counts are computed in place in two buffers allocated per fit, and
+    the returned model keeps the allocation one.  Every per-column
+    quantity is computed on the columns of X that hold data only.  An
+    all-zero column gets no counts, so its activation shape is exactly 1
+    and its mean the activation scale; its terms in the sums over time are
+    folded into one constant per basis, times the number of such columns.
+    The first sweep is the exception: it reads the random start on every
+    column.  With no all-zero column this is the plain full-width sweep,
+    bit-identical to the step functions.  Stops when the relative bound
+    change drops below ``opts.tol`` or after ``opts.max_iters`` sweeps; a
+    non-converged model is returned flagged, not raised.  An all-zero
+    observation short-circuits after the first sweep since there is no
+    mass to allocate.  The full-width model, whose allocation comes from
+    the log means the last sweep started from, is built once at the end,
+    and the control estimates run once, on that final state: no update
+    reads them.
     """
     opts = opts or FitOptions()
     X = _as_observation(X)
     a_shape, a_scale, b_shape, b_scale = _start(X, K, opts.seed)
     rate_u, rate_w = FactorModel.prior_rate_u, FactorModel.prior_rate_w
+    if not (rate_u > 0 and rate_w > 0):
+        raise NumericalDomainError("prior rates must be positive for the bound")
+    log_rate_u, log_rate_w = np.log(rate_u), np.log(rate_w)
     T = X.shape[1]
     cols = np.flatnonzero(X.any(axis=0))
     n0 = T - cols.size
@@ -525,25 +540,83 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
     x = take(X)
     data = -float(special.gammaln(x + 1.0).sum())
     x = x[:, None, :]  # broadcasts against eta
+    eta = np.empty((x.shape[0], K, x.shape[2]))  # the logits, then eta
+    e_kappa = np.empty_like(eta)  # then the allocation term
+    over_k = np.empty_like(x)  # the logits' max over k, then their exponentials' sum
     log_bases = special.psi(a_shape) + np.log(a_scale)
     log_activations = special.psi(take(b_shape)) + np.log(take(b_scale))
     sum_w = (b_shape * b_scale).sum(axis=1)
+    b_start = b_shape, b_scale  # what a one-sweep fit's allocation reads
+    summed, peak = np.add.reduce, np.maximum.reduce
 
     trace: list[float] = []
     converged = False
-    previous = w = None
+    previous = None
     for _ in range(opts.max_iters):
         # this sweep's allocation reads log_bases, and on the empty columns
-        # the log means of the previous w (the random start when None)
-        eta_bases, before = log_bases, w
-        eta = _eta(log_bases, log_activations, where)
-        kappa_u, kappa_w, alloc = _counts(x, eta, where)
-        u, w = _gamma_step(kappa_u, kappa_w, sum_w, rate_u, rate_w)
-        log_bases, log_activations = u.log_mean, w.log_mean
-        sum_w = w.mean.sum(axis=1)
+        # the log means of the previous activations, whose scale is b_scale
+        eta_bases, before = log_bases, b_scale
+
+        # _eta.  A logit adds two log means psi(shape) + log(scale), each
+        # under 1500 in size when finite, so the logits are all finite
+        # exactly when their sum is
+        np.add(log_bases[:, :, None], log_activations[None, :, :], out=eta)
+        if not math.isfinite(summed(eta, axis=None)):
+            raise _logit_error(_first_non_finite(eta, where))
+        eta -= peak(eta, axis=1, out=over_k, keepdims=True)
+        np.exp(eta, out=eta)
+        eta /= summed(eta, axis=1, out=over_k, keepdims=True)
+
+        # _counts.  A non-finite item makes the sum non-finite; when only
+        # the sum overflows, the bound's check below raises instead
+        np.multiply(x, eta, out=e_kappa)
+        kappa_u, kappa_w = summed(e_kappa, axis=2), summed(e_kappa, axis=0)
+        special.xlogy(e_kappa, eta, out=e_kappa)
+        alloc = float(summed(e_kappa, axis=None))
+        if not math.isfinite(alloc):
+            idx = _first_non_finite(e_kappa, where)
+            if idx is not None:
+                raise _allocation_error(idx)
+
+        # _gamma_step.  Each denominator is a sum of the fit's Gamma means
+        # plus a rate of 1, so _gamma_half's floor can never apply here
+        a_shape = np.add(1.0, kappa_u)
+        a_scale = np.divide(1.0, np.add(sum_w[None, :], rate_u))
+        a_psi, a_log_scale = special.psi(a_shape), np.log(a_scale)
+        bases = np.multiply(a_shape, a_scale)
+        log_bases = np.add(a_psi, a_log_scale)
+        b_denom = np.add(summed(bases, axis=0)[:, None], rate_w)
+        b_shape = np.add(1.0, kappa_w)
+        b_scale = np.divide(1.0, b_denom)
+        b_psi, b_log_scale = special.psi(b_shape), np.log(b_scale)
+        activations = np.multiply(b_shape, b_scale)
+        log_activations = np.add(b_psi, b_log_scale)
+        sum_w = summed(activations, axis=1)
         if n0:
-            sum_w = sum_w + n0 * w.scale[:, 0]
-        elbo = _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w, n0)
+            sum_w += n0 * b_scale[:, 0]
+
+        # _bound
+        recon = float(summed(np.matmul(bases, activations), axis=None))
+        cross_u = float(summed(np.multiply(log_bases, kappa_u, out=kappa_u), axis=None))
+        cross_w = float(summed(np.multiply(log_activations, kappa_w, out=kappa_w), axis=None))
+        prior_u = _prior_sum(bases, rate_u, log_rate_u)
+        prior_w = _prior_sum(activations, rate_w, log_rate_w)
+        a_log_scale = _log_floored(a_scale, a_log_scale)
+        b_log_scale = _log_floored(b_scale, b_log_scale)
+        ent_u = _entropy_sum(a_shape, a_psi, a_log_scale)
+        ent_w = _entropy_sum(b_shape, b_psi, b_log_scale)
+        elbo = (
+            -recon + (data - alloc) + cross_u + cross_w + prior_u + prior_w
+            + ent_u + ent_w
+        )
+        if n0:
+            # an empty column's recon, prior and entropy terms; its cross and
+            # allocation terms are 0, and so are (shape - 1) psi and log Gamma(1)
+            empty = log_rate_w + b_log_scale[:, 0] + 1.0 - b_denom[:, 0] * b_scale[:, 0]
+            elbo += n0 * float(empty.sum())
+        if not math.isfinite(elbo):
+            raise _bound_error()
+
         trace.append(elbo)
         if not cols.size:  # no mass to allocate
             converged = True
@@ -555,19 +628,26 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
         previous = elbo
 
     if n0:
-        if before is None:  # one sweep, which read the start on every column
-            eta = _eta(eta_bases, special.psi(b_shape) + np.log(b_scale))
+        if len(trace) == 1:  # one sweep, which read the start on every column
+            eta = _eta(eta_bases, special.psi(b_start[0]) + np.log(b_start[1]))
         else:
-            empty = _eta(eta_bases, special.psi(1.0) + np.log(before.scale))
+            empty = _eta(eta_bases, special.psi(1.0) + np.log(before))
             eta = _widen(eta, empty, cols, T)
-        w = w._replace(
-            shape=_widen(w.shape, 1.0, cols, T),
-            mean=_widen(w.mean, w.scale, cols, T),
-            log_mean=_widen(w.log_mean, special.psi(1.0) + np.log(w.scale), cols, T),
+        log_activations = _widen(
+            log_activations, special.psi(1.0) + np.log(b_scale), cols, T
         )
+        activations = _widen(activations, b_scale, cols, T)
+        b_shape = _widen(b_shape, 1.0, cols, T)
     return update_control(FactorModel(
-        **_fields(u, w),
+        bases=bases,
+        activations=activations,
+        log_bases=log_bases,
+        log_activations=log_activations,
         eta=eta,
+        a_shape=a_shape,
+        a_scale=a_scale,
+        b_shape=b_shape,
+        b_scale=b_scale,
         ctrl_alpha=None,  # both set by update_control
         ctrl_beta=None,
         K=K,
@@ -577,6 +657,33 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
         iterations=len(trace),
         elbo_trace=tuple(trace),
     ))
+
+
+def _prior_sum(mean: np.ndarray, rate: float, log_rate: float) -> float:
+    """Sum of log(rate) - rate * mean, the prior term of ``_bound``."""
+    prior = np.multiply(mean, rate)
+    return float(np.add.reduce(np.subtract(log_rate, prior, out=prior), axis=None))
+
+
+def _log_floored(scale: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
+    """log(max(scale, EPS)), reusing ``log_scale`` = log(scale) when no
+    item is below the floor.  A NaN minimum skips the floor, and then the
+    entropy, and so the bound, is NaN with the floor or without."""
+    if np.minimum.reduce(scale, axis=None) < EPS:
+        return np.log(_floored(scale))
+    return log_scale
+
+
+def _entropy_sum(shape: np.ndarray, psi: np.ndarray, log_scale: np.ndarray) -> float:
+    """Sum of ``_gamma_entropy``'s items, built in place, with ``log_scale``
+    = log(max(scale, EPS)); overwrites ``psi``.  1 - shape is exactly
+    -(shape - 1)."""
+    ent = np.subtract(1.0, shape)
+    ent *= psi
+    ent += log_scale
+    ent += shape
+    ent += special.gammaln(shape, out=psi)
+    return float(np.add.reduce(ent, axis=None))
 
 
 def select_order(

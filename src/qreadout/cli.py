@@ -120,15 +120,13 @@ class RunRecord:
 
 
 def _read_config(path: str | Path) -> tuple[object, str | None]:
-    """The parsed JSON of a config file and ``None``, or ``None`` and why it is not JSON.
-
-    An unreadable file is a validation failure.
-    """
+    """The parsed JSON of a config file and ``None``, or ``None`` and why
+    the file cannot be read as JSON (it cannot be opened, or it is not JSON)."""
     try:
         with open(path) as fh:
             return json.load(fh), None
     except OSError as exc:
-        raise ValidationError(f"cannot read config file {path}: {exc}") from exc
+        return None, f"cannot read config file {path}: {exc}"
     # bad JSON or UTF-8 and an integer past int's digit limit raise
     # ValueError; nesting past the recursion limit raises RecursionError
     except (ValueError, RecursionError) as exc:
@@ -137,8 +135,8 @@ def _read_config(path: str | Path) -> tuple[object, str | None]:
 
 def validate(config_path: str | Path) -> list[str]:
     """Schema-check a config file; returns all violations found."""
-    doc, not_json = _read_config(config_path)
-    return [not_json] if not_json else validate_document(doc)
+    doc, unreadable = _read_config(config_path)
+    return [unreadable] if unreadable else validate_document(doc)
 
 
 def validate_document(doc) -> list[str]:
@@ -546,9 +544,9 @@ def run(cfg: RunConfig) -> RunRecord:
 
 
 def _build_config(args, stage: str) -> RunConfig:
-    doc, not_json = _read_config(args.config) if args.config else ({}, None)
-    if not_json:
-        raise ValidationError(not_json)
+    doc, unreadable = _read_config(args.config) if args.config else ({}, None)
+    if unreadable:
+        raise ValidationError(unreadable)
     return RunConfig(stage=stage, seed=args.seed, output_dir=args.out, document=doc)
 
 

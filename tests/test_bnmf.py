@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import replace
 
 import mpmath
@@ -8,7 +9,7 @@ from scipy import optimize, special
 
 from qreadout import bnmf, register
 from qreadout.artifacts import write_json
-from qreadout.errors import DimensionError, ValidationError
+from qreadout.errors import DimensionError, NumericalDomainError, ValidationError
 
 
 def random_matrix(seed, M=2, T=32, scale=2.0):
@@ -32,6 +33,33 @@ def readme_observation():
     """The README config's observation: 9 of its 600 columns hold data."""
     cfg = register.RegisterConfig(horizon=600, dim=512, residual_strength=0.3, seed=7)
     return register.observe(register.generate_input(cfg), cfg).values
+
+
+def planted_two_blocks(seed, T=128):
+    """A 2 x T input with two planted bases, each active alone on one half
+    of the time steps: the shape of the order-select benchmark's inputs."""
+    rng = np.random.default_rng(seed)
+    angles = np.array([0.15, np.pi / 2 - 0.15])
+    W = np.zeros((2, T))
+    W[0, : T // 2] = rng.uniform(10, 30, T // 2)
+    W[1, T // 2 :] = rng.uniform(10, 30, T - T // 2)
+    return np.vstack([np.cos(angles), np.sin(angles)]) @ W
+
+
+def overflowing_column(zero_columns=()):
+    """A small 2 x 8 input whose column 5 sums past the largest float, so
+    that column's starting activation scale, and its logits, are infinite."""
+    X = random_matrix(50, T=8)
+    X[:, 5] = 1.5e308
+    X[:, list(zero_columns)] = 0.0
+    return X
+
+
+def error_index(excinfo) -> tuple:
+    """The index an error message ends with (numpy prints np.int64(i) for
+    a numpy integer, so only the digits are read)."""
+    text = str(excinfo.value).rpartition(" at index ")[2].replace("np.int64", "")
+    return tuple(int(i) for i in re.findall(r"\d+", text))
 
 
 def generalized_kl(X, R):
@@ -334,6 +362,47 @@ class TestFit:
         assert m.iterations == 2
 
 
+class TestNumericalChecks:
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_fit_names_the_first_non_finite_logit(self):
+        with pytest.raises(NumericalDomainError, match="non-finite log expectation") as err:
+            bnmf.fit(overflowing_column(), 2, bnmf.FitOptions(max_iters=5, seed=0))
+        assert error_index(err) == (0, 0, 5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_fit_names_the_full_width_column_past_empty_ones(self):
+        # column 5 is the fourth column that holds data
+        X = overflowing_column(zero_columns=(0, 2))
+        with pytest.raises(NumericalDomainError, match="non-finite log expectation") as err:
+            bnmf.fit(X, 2, bnmf.FitOptions(max_iters=5, seed=0))
+        assert error_index(err) == (0, 0, 5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_error_index_is_plain_ints(self):
+        X = overflowing_column(zero_columns=(0, 2))
+        with pytest.raises(NumericalDomainError) as err:
+            bnmf.fit(X, 2, bnmf.FitOptions(max_iters=5, seed=0))
+        assert str(err.value) == "non-finite log expectation at index (0, 0, 5)"
+
+    def test_lower_bound_names_a_negative_allocation(self):
+        X = random_matrix(51, T=8)
+        m = bnmf.fit(X, 2, bnmf.FitOptions(max_iters=5, seed=0))
+        eta = m.eta.copy()
+        eta[1, 0, 3] -= 1.5
+        eta[1, 1, 3] += 1.5
+        with pytest.raises(NumericalDomainError, match="allocation entropy") as err:
+            bnmf.lower_bound(replace(m, eta=eta), X)
+        assert error_index(err) == (1, 0, 3)
+
+    def test_update_variational_floors_a_zero_basis_denominator(self):
+        X = random_matrix(52, T=8)
+        m = bnmf.init_model(X, 2, seed=0)
+        m = replace(m, prior_rate_u=1e-13, activations=np.zeros_like(m.activations))
+        with pytest.warns(RuntimeWarning, match="zero basis-scale denominator floored"):
+            out = bnmf.update_variational(m, X)
+        np.testing.assert_array_equal(out.a_scale, 1.0 / bnmf.EPS)
+
+
 def reference_fit(X, K, opts):
     """The sweep loop rebuilt from the public step functions, with the
     control estimates refreshed every sweep."""
@@ -390,6 +459,11 @@ class TestFitMatchesStepFunctions:
             zeroed(random_matrix(32, M=2, T=24), np.s_[:, np.arange(24) != 7]),
             random_matrix(31, M=2, T=32, scale=2.0),
         )
+    ] + [
+        # the order-select benchmark's shape and options
+        (planted_two_blocks(seed), K, bnmf.FitOptions(max_iters=200, tol=1e-7, seed=seed))
+        for seed in (40, 41)
+        for K in (1, 2, 3, 4)
     ]
 
     @pytest.mark.parametrize("X,K,opts", CASES)
@@ -412,6 +486,20 @@ class TestFitMatchesStepFunctions:
         assert got.elbo_trace == want.elbo_trace
         for name in bnmf.FactorModel._ARRAY_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+    def test_entropy_matches_lower_bound_below_the_floor(self):
+        # where a scale floors, the floor's share of the bound is below the
+        # bound's rounding at any input a fit reaches, so it is checked here
+        rng = np.random.default_rng(53)
+        shape = 1.0 + rng.random((3, 40)) * 50.0
+        scale = np.array([[0.25], [1e-13], [0.5e-12]])
+        want = float(bnmf._gamma_entropy(bnmf._Gamma(
+            shape, scale, shape * scale, None, special.psi(shape)
+        )).sum())
+        got = bnmf._entropy_sum(
+            shape, special.psi(shape), bnmf._log_floored(scale, np.log(scale))
+        )
+        assert got == want
 
     @pytest.mark.parametrize("K", [1, 2, 4])
     def test_empty_columns_give_a_valid_model(self, K):

@@ -472,6 +472,22 @@ class TestMain:
         assert "config is not valid JSON" in payload["message"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unopenable_config_exits_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "config.json"
+        if kind == "directory":
+            path.mkdir()
+        assert cli.main(["validate", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith(f"cannot read config file {path}: ")
+        assert captured.err == ""
+        out = tmp_path / "out"
+        assert cli.main(["simulate", "--config", str(path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert payload["message"].startswith(f"cannot read config file {path}: ")
+        assert not out.exists()
+
     def test_validate_subcommand_exit_codes(self, tmp_path, capsys):
         good = write_config(tmp_path, config_doc(tmp_path))
         assert cli.main(["validate", str(good)]) == 0
