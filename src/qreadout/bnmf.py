@@ -27,7 +27,6 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -70,6 +69,10 @@ class FactorModel:
     exponential prior rates at this state; the rates themselves stay fixed at
     ``prior_rate_u`` / ``prior_rate_w`` so every sweep is an exact
     coordinate-ascent move on the bound.
+
+    An update shares each basis's Gamma scale over m and each activation
+    row's over t, so ``a_scale`` and ``b_scale`` are M x K and K x T at
+    ``init_model``'s start, and 1 x K and K x 1 once updated.
     """
 
     bases: np.ndarray          # E(u), M x K
@@ -78,9 +81,9 @@ class FactorModel:
     log_activations: np.ndarray  # E(log w), K x T
     eta: np.ndarray            # M x K x T, sums to 1 over axis 1
     a_shape: np.ndarray        # M x K
-    a_scale: np.ndarray        # M x K
+    a_scale: np.ndarray        # M x K at the start, 1 x K once updated
     b_shape: np.ndarray        # K x T
-    b_scale: np.ndarray        # K x T
+    b_scale: np.ndarray        # K x T at the start, K x 1 once updated
     ctrl_alpha: np.ndarray     # M x K
     ctrl_beta: np.ndarray      # K x T
     K: int
@@ -90,26 +93,9 @@ class FactorModel:
     iterations: int = 0
     elbo_trace: tuple = field(default_factory=tuple)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.bases.shape[0], self.activations.shape[1]
-
     def reconstruction(self) -> np.ndarray:
         """Point reconstruction of the observation from the Gamma means."""
         return self.bases @ self.activations
-
-    def fixed_point_estimates(self) -> tuple[np.ndarray, np.ndarray]:
-        """Self-consistent exponential-density point estimates.
-
-        Solves u = a * exp(-a * u) for a = ctrl_alpha (and likewise for the
-        activations), which reduces to u = W(a^2)/a with W the principal
-        Lambert branch.
-        """
-        a = np.maximum(self.ctrl_alpha, EPS)
-        b = np.maximum(self.ctrl_beta, EPS)
-        u = special.lambertw(a**2).real / a
-        w = special.lambertw(b**2).real / b
-        return u, w
 
     def check_invariants(self) -> None:
         sums = self.eta.sum(axis=1)
@@ -309,16 +295,6 @@ def _logit_error(idx: tuple) -> NumericalDomainError:
     return NumericalDomainError(f"non-finite log expectation at index {idx}")
 
 
-class _Gamma(NamedTuple):
-    """Gamma posterior of one factor, with psi(shape) kept for the bound."""
-
-    shape: np.ndarray
-    scale: np.ndarray
-    mean: np.ndarray
-    log_mean: np.ndarray
-    psi: np.ndarray
-
-
 def update_variational(model: FactorModel, X) -> FactorModel:
     """Closed-form Gamma updates for bases then activations.
 
@@ -329,43 +305,29 @@ def update_variational(model: FactorModel, X) -> FactorModel:
     """
     X = _as_observation(X)
     e_kappa = X[:, None, :] * model.eta  # M x K x T
-    u, w = _gamma_step(
-        e_kappa.sum(axis=2), e_kappa.sum(axis=0), model.activations.sum(axis=1),
-        model.prior_rate_u, model.prior_rate_w,
+    a_denom = model.activations.sum(axis=1)[None, :] + model.prior_rate_u
+    a_shape = 1.0 + e_kappa.sum(axis=2)
+    a_scale = 1.0 / _floored_denominator(a_denom, "basis")
+    bases = a_shape * a_scale
+    b_denom = bases.sum(axis=0)[:, None] + model.prior_rate_w
+    b_shape = 1.0 + e_kappa.sum(axis=0)
+    b_scale = 1.0 / _floored_denominator(b_denom, "activation")
+    return replace(
+        model, bases=bases, activations=b_shape * b_scale,
+        log_bases=special.psi(a_shape) + np.log(a_scale),
+        log_activations=special.psi(b_shape) + np.log(b_scale),
+        a_shape=a_shape, a_scale=a_scale, b_shape=b_shape, b_scale=b_scale,
     )
-    return replace(model, **_fields(u, w))
 
 
-def _gamma_step(kappa_u, kappa_w, sum_w, rate_u, rate_w) -> tuple[_Gamma, _Gamma]:
-    """Basis then activation posteriors from the expected counts summed
-    over time (M x K) and over sources (K x T) and the activation means
-    summed over time (K)."""
-    u = _gamma_half(kappa_u, sum_w[None, :] + rate_u, "basis")
-    w = _gamma_half(kappa_w, u.mean.sum(axis=0)[:, None] + rate_w, "activation")
-    return u, w
-
-
-def _gamma_half(kappa: np.ndarray, denom: np.ndarray, name: str) -> _Gamma:
+def _floored_denominator(denom: np.ndarray, name: str) -> np.ndarray:
     if (denom < EPS).any():
         warnings.warn(
             f"zero {name}-scale denominator floored at 1e-12",
             RuntimeWarning,
             stacklevel=3,
         )
-    shape = 1.0 + kappa
-    scale = 1.0 / _floored(denom)
-    psi = special.psi(shape)
-    return _Gamma(shape, scale, shape * scale, psi + np.log(scale), psi)
-
-
-def _fields(u: _Gamma, w: _Gamma) -> dict:
-    """The FactorModel fields the two Gamma posteriors determine."""
-    return {
-        "bases": u.mean, "activations": w.mean,
-        "log_bases": u.log_mean, "log_activations": w.log_mean,
-        "a_shape": u.shape, "a_scale": u.scale,
-        "b_shape": w.shape, "b_scale": w.scale,
-    }
+    return _floored(denom)
 
 
 def update_control(model: FactorModel) -> FactorModel:
@@ -418,26 +380,30 @@ def lower_bound(model: FactorModel, X) -> float:
     log-Gamma(kappa+1) terms cancel between the two halves and are omitted.
     """
     X = _as_observation(X)
-    u = _Gamma(model.a_shape, model.a_scale, model.bases, model.log_bases,
-               special.psi(model.a_shape))
-    w = _Gamma(model.b_shape, model.b_scale, model.activations,
-               model.log_activations, special.psi(model.b_shape))
-    return _bound(
-        u, w, *_counts(X[:, None, :], model.eta),
-        -float(special.gammaln(X + 1.0).sum()),
-        model.prior_rate_u, model.prior_rate_w,
-    )
-
-
-def _counts(x: np.ndarray, eta: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Expected counts E(kappa) = X * eta summed over time (M x K) and over
-    sources (K x T), and the allocation term sum E(kappa) log eta."""
-    e_kappa = x * eta  # M x K x T
+    e_kappa = X[:, None, :] * model.eta  # M x K x T
     kappa_u, kappa_w = e_kappa.sum(axis=2), e_kappa.sum(axis=0)
-    alloc = special.xlogy(e_kappa, eta, out=e_kappa)
+    alloc = special.xlogy(e_kappa, model.eta, out=e_kappa)
     if not np.isfinite(alloc).all():
         raise _allocation_error(_first_non_finite(alloc))
-    return kappa_u, kappa_w, float(alloc.sum())
+    data = -float(special.gammaln(X + 1.0).sum()) - float(alloc.sum())
+
+    recon = float((model.bases @ model.activations).sum())
+    cross_u = float((model.log_bases * kappa_u).sum())
+    cross_w = float((model.log_activations * kappa_w).sum())
+
+    rate_u, rate_w = model.prior_rate_u, model.prior_rate_w
+    if not (rate_u > 0 and rate_w > 0):
+        raise NumericalDomainError("prior rates must be positive for the bound")
+    prior_u = float((np.log(rate_u) - rate_u * model.bases).sum())
+    prior_w = float((np.log(rate_w) - rate_w * model.activations).sum())
+
+    ent_u = float(_gamma_entropy(model.a_shape, model.a_scale).sum())
+    ent_w = float(_gamma_entropy(model.b_shape, model.b_scale).sum())
+
+    total = -recon + data + cross_u + cross_w + prior_u + prior_w + ent_u + ent_w
+    if not math.isfinite(total):
+        raise _bound_error()
+    return total
 
 
 def _allocation_error(idx: tuple) -> NumericalDomainError:
@@ -446,39 +412,17 @@ def _allocation_error(idx: tuple) -> NumericalDomainError:
     )
 
 
-def _bound(u, w, kappa_u, kappa_w, alloc, data, rate_u, rate_w) -> float:
-    """Lower bound of one state from its Gamma posteriors and ``_counts``;
-    ``data`` is -sum(log X_mt!)."""
-    recon = float((u.mean @ w.mean).sum())
-    data -= alloc
-
-    cross_u = float((u.log_mean * kappa_u).sum())
-    cross_w = float((w.log_mean * kappa_w).sum())
-
-    if not (rate_u > 0 and rate_w > 0):
-        raise NumericalDomainError("prior rates must be positive for the bound")
-    prior_u = float((np.log(rate_u) - rate_u * u.mean).sum())
-    prior_w = float((np.log(rate_w) - rate_w * w.mean).sum())
-
-    ent_u = float(_gamma_entropy(u).sum())
-    ent_w = float(_gamma_entropy(w).sum())
-
-    total = -recon + data + cross_u + cross_w + prior_u + prior_w + ent_u + ent_w
-    if not math.isfinite(total):
-        raise _bound_error()
-    return total
-
-
 def _bound_error() -> NumericalDomainError:
     return NumericalDomainError("lower bound evaluated to a non-finite value")
 
 
-def _gamma_entropy(g: _Gamma) -> np.ndarray:
+def _gamma_entropy(shape: np.ndarray, scale: np.ndarray) -> np.ndarray:
+    """Entropy of each Gamma(shape, scale) item."""
     return (
-        -(g.shape - 1.0) * g.psi
-        + np.log(_floored(g.scale))
-        + g.shape
-        + special.gammaln(g.shape)
+        -(shape - 1.0) * special.psi(shape)
+        + np.log(scale)
+        + shape
+        + special.gammaln(shape)
     )
 
 
@@ -567,8 +511,9 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
         np.exp(eta, out=eta)
         eta /= summed(eta, axis=1, out=over_k, keepdims=True)
 
-        # _counts.  A non-finite item makes the sum non-finite; when only
-        # the sum overflows, the bound's check below raises instead
+        # the expected counts of update_variational and lower_bound.  A
+        # non-finite item makes the sum non-finite; when only the sum
+        # overflows, the bound's check below raises instead
         np.multiply(x, eta, out=e_kappa)
         kappa_u, kappa_w = summed(e_kappa, axis=2), summed(e_kappa, axis=0)
         special.xlogy(e_kappa, eta, out=e_kappa)
@@ -578,8 +523,8 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
             if idx is not None:
                 raise _allocation_error(idx)
 
-        # _gamma_step.  Each denominator is a sum of the fit's Gamma means
-        # plus a rate of 1, so _gamma_half's floor can never apply here
+        # update_variational.  Each denominator is a sum of the fit's Gamma
+        # means plus a rate of 1, so its floor can never apply here
         a_shape = np.add(1.0, kappa_u)
         a_scale = np.divide(1.0, np.add(sum_w[None, :], rate_u))
         a_psi, a_log_scale = special.psi(a_shape), np.log(a_scale)
@@ -595,14 +540,12 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
         if n0:
             sum_w += n0 * b_scale[:, 0]
 
-        # _bound
+        # lower_bound
         recon = float(summed(np.matmul(bases, activations), axis=None))
         cross_u = float(summed(np.multiply(log_bases, kappa_u, out=kappa_u), axis=None))
         cross_w = float(summed(np.multiply(log_activations, kappa_w, out=kappa_w), axis=None))
         prior_u = _prior_sum(bases, rate_u, log_rate_u)
         prior_w = _prior_sum(activations, rate_w, log_rate_w)
-        a_log_scale = _log_floored(a_scale, a_log_scale)
-        b_log_scale = _log_floored(b_scale, b_log_scale)
         ent_u = _entropy_sum(a_shape, a_psi, a_log_scale)
         ent_w = _entropy_sum(b_shape, b_psi, b_log_scale)
         elbo = (
@@ -660,24 +603,15 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
 
 
 def _prior_sum(mean: np.ndarray, rate: float, log_rate: float) -> float:
-    """Sum of log(rate) - rate * mean, the prior term of ``_bound``."""
+    """Sum of log(rate) - rate * mean, the prior term of ``lower_bound``."""
     prior = np.multiply(mean, rate)
     return float(np.add.reduce(np.subtract(log_rate, prior, out=prior), axis=None))
 
 
-def _log_floored(scale: np.ndarray, log_scale: np.ndarray) -> np.ndarray:
-    """log(max(scale, EPS)), reusing ``log_scale`` = log(scale) when no
-    item is below the floor.  A NaN minimum skips the floor, and then the
-    entropy, and so the bound, is NaN with the floor or without."""
-    if np.minimum.reduce(scale, axis=None) < EPS:
-        return np.log(_floored(scale))
-    return log_scale
-
-
 def _entropy_sum(shape: np.ndarray, psi: np.ndarray, log_scale: np.ndarray) -> float:
-    """Sum of ``_gamma_entropy``'s items, built in place, with ``log_scale``
-    = log(max(scale, EPS)); overwrites ``psi``.  1 - shape is exactly
-    -(shape - 1)."""
+    """Sum of ``_gamma_entropy``'s items, built in place from ``psi`` =
+    psi(shape) and ``log_scale`` = log(scale); overwrites ``psi``.
+    1 - shape is exactly -(shape - 1)."""
     ent = np.subtract(1.0, shape)
     ent *= psi
     ent += log_scale

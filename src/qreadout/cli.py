@@ -422,9 +422,19 @@ def true_target_bases(model: bnmf.FitResult, gt: register.GroundTruth) -> list[i
     return [k for k, m in enumerate(labels) if m == 0]
 
 
+def _check_partition(model: bnmf.FitResult, part: part_mod.BasisPartition) -> None:
+    """Refuse a partition whose assignment does not name each of the model's bases."""
+    if part.assignment.size != model.K:
+        raise ValidationError(
+            f"partition.json assigns {part.assignment.size} bases but model.json has "
+            f"K={model.K}; rerun the partition stage"
+        )
+
+
 def _stage_recover(cfg: RunConfig, record: RunRecord) -> None:
     model = _load(cfg, record, "model.json")
     part = _load(cfg, record, "partition.json")
+    _check_partition(model, part)
     gt, _ = _load(cfg, record, "ground_truth.json")
     K = model.K
     sizes = part.cluster_sizes
@@ -482,6 +492,7 @@ def _stage_verify(cfg: RunConfig, record: RunRecord) -> None:
     gt, reg_cfg = _load(cfg, record, "ground_truth.json")
     model = _load(cfg, record, "model.json")
     part = _load(cfg, record, "partition.json")
+    _check_partition(model, part)
 
     psi_in = register.input_state(gt)
     phi = register.register_state(gt)

@@ -313,17 +313,20 @@ class TestFit:
             hits += best > 0.9
         assert hits == 10
 
-    def test_fixed_point_estimates_solve_their_equation(self):
-        X = random_matrix(8, T=24, scale=20.0)
-        m = bnmf.fit(X, 2, bnmf.FitOptions(max_iters=200, tol=1e-9, seed=8))
-        u_tilde, w_tilde = m.fixed_point_estimates()
-        for (i, j) in ((0, 0), (1, 1)):
-            a = m.ctrl_alpha[i, j]
-            root = optimize.brentq(lambda u: u - a * np.exp(-a * u), 0.0, max(10 * a, 10.0))
-            assert u_tilde[i, j] == pytest.approx(root, abs=1e-10)
-        b = m.ctrl_beta[0, 0]
-        root = optimize.brentq(lambda w: w - b * np.exp(-b * w), 0.0, max(10 * b, 10.0))
-        assert w_tilde[0, 0] == pytest.approx(root, abs=1e-10)
+    @pytest.mark.parametrize("empty", [False, True], ids=["data-columns", "empty-columns"])
+    def test_gamma_scale_shapes(self, empty):
+        # the start draws a scale per item; an update shares each basis's
+        # scale over m and each activation row's over t
+        X = random_matrix(9, M=3, T=16)
+        if empty:
+            X = zeroed(X, np.s_[:, [2, 5, 11]])
+        m = bnmf.init_model(X, 2, seed=9)
+        assert (m.a_scale.shape, m.b_scale.shape) == ((3, 2), (2, 16))
+        m = bnmf.update_variational(bnmf.update_eta(m, X), X)
+        assert (m.a_scale.shape, m.b_scale.shape) == ((1, 2), (2, 1))
+        m = bnmf.fit(X, 2, bnmf.FitOptions(max_iters=50, seed=9))
+        assert (m.a_scale.shape, m.b_scale.shape) == ((1, 2), (2, 1))
+        assert (m.a_shape.shape, m.b_shape.shape) == ((3, 2), (2, 16))
 
     @pytest.mark.parametrize("max_iters", [2.5, 3.0, True, "3", None, 0])
     def test_non_integer_max_iters_rejected(self, max_iters):
@@ -487,18 +490,14 @@ class TestFitMatchesStepFunctions:
         for name in bnmf.FactorModel._ARRAY_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
-    def test_entropy_matches_lower_bound_below_the_floor(self):
-        # where a scale floors, the floor's share of the bound is below the
-        # bound's rounding at any input a fit reaches, so it is checked here
+    def test_entropy_sum_matches_gamma_entropy_at_tiny_scales(self):
+        # scales as small as a fit on a very large input reaches go through
+        # log(scale) on both sides, with no floor
         rng = np.random.default_rng(53)
         shape = 1.0 + rng.random((3, 40)) * 50.0
         scale = np.array([[0.25], [1e-13], [0.5e-12]])
-        want = float(bnmf._gamma_entropy(bnmf._Gamma(
-            shape, scale, shape * scale, None, special.psi(shape)
-        )).sum())
-        got = bnmf._entropy_sum(
-            shape, special.psi(shape), bnmf._log_floored(scale, np.log(scale))
-        )
+        want = float(bnmf._gamma_entropy(shape, scale).sum())
+        got = bnmf._entropy_sum(shape, special.psi(shape), np.log(scale))
         assert got == want
 
     @pytest.mark.parametrize("K", [1, 2, 4])

@@ -431,6 +431,33 @@ class TestMain:
             assert payload["error"] == "ValidationError", stage
             assert name in payload["message"] and key in payload["message"], stage
 
+    @pytest.mark.parametrize("stage", ["recover", "verify"])
+    @pytest.mark.parametrize(
+        "assignment",
+        [
+            lambda K: [1] * (K + 3),
+            lambda K: [1] * (K - 1),
+            lambda K: [2] * (K + 1),
+        ],
+        ids=["K+3", "K-1", "K+1-all-2"],
+    )
+    def test_partition_not_matching_model_exits_2(
+        self, tmp_path, capsys, pipeline_out, stage, assignment
+    ):
+        doc = config_doc(tmp_path, stage=stage)
+        out = Path(doc["output_dir"])
+        shutil.copytree(pipeline_out, out)
+        K = json.loads((out / "model.json").read_text())["K"]
+        art = json.loads((out / "partition.json").read_text())
+        art["assignment"] = assignment(K)
+        (out / "partition.json").write_text(json.dumps(art))
+        config = write_config(tmp_path, doc)
+        assert cli.main([stage, "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        payload = json.loads(err.strip())
+        assert payload["error"] == "ValidationError"
+        assert "partition.json" in payload["message"] and "model.json" in payload["message"]
+
     @pytest.mark.parametrize("name,stage", [
         ("observation.json", "fit"), ("ground_truth.json", "verify"),
     ])
