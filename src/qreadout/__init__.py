@@ -24,7 +24,7 @@ from .register import (
     observe,
 )
 from .bnmf import FactorModel, FitOptions, FitResult, fit, select_order
-from .transforms import ProbTable, SpectralState, WindowSpec, cqt, dft, hann_window, icqt, idstft
+from .transforms import ProbTable, WindowSpec, cqt, dft, hann_window, icqt, idstft
 from .partition import BasisPartition, PartitionTensors, assign, contract, fit_partition, score, transform_bases
 from .recovery import ClusteredBases, RecoveryResult, build_superposition, extract_target, finalize, regroup
 from .snr import EnergySpec, SnrReport, delta, energy, snr_report, sweep_curve
@@ -48,7 +48,6 @@ __all__ = [
     "fit",
     "select_order",
     "WindowSpec",
-    "SpectralState",
     "ProbTable",
     "hann_window",
     "cqt",

@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -149,9 +150,20 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _is_real(value) -> bool:
-    """JSON number test; ``true``/``false`` are not numbers here."""
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+def _is_int64(value) -> bool:
+    """JSON integer that fits in a signed 64-bit integer."""
+    return _is_int(value) and -(2**63) <= value < 2**63
+
+
+def _is_finite_real(value) -> bool:
+    """JSON number that converts to a finite float; ``true``/``false`` are
+    not numbers here."""
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer past the float range
+        return False
 
 
 def _check(ok: bool, message: str) -> None:
@@ -183,9 +195,9 @@ def _factorization(sec: dict, seed: int) -> tuple[bnmf.FitOptions, tuple[int, in
 
 def _transform(sec: dict, seed: int) -> tuple[int | None, int, bool]:
     shift, k, unit = sec.get("shift"), sec["k"], sec["unit_window"]
-    _check(shift is None or _is_int(shift) and shift >= 1,
-           f"shift must be null or an integer >= 1, got {shift!r}")
-    _check(_is_int(k), f"k must be an integer, got {k!r}")
+    _check(shift is None or _is_int64(shift) and shift >= 1,
+           f"shift must be null or a 64-bit integer >= 1, got {shift!r}")
+    _check(_is_int64(k), f"k must be a 64-bit integer, got {k!r}")
     _check(isinstance(unit, bool), f"unit_window must be true or false, got {unit!r}")
     return shift, k, unit
 
@@ -198,9 +210,9 @@ def _recovery(sec: dict, seed: int) -> int | None:
 
 def _sweep(sec: dict, seed: int) -> tuple[float, list]:
     r_sx, deltas = sec["r_sx"], sec["deltas"]
-    _check(_is_real(r_sx), f"r_sx must be a real number, got {r_sx!r}")
-    _check(isinstance(deltas, list) and deltas and all(map(_is_real, deltas)),
-           f"deltas must be a nonempty list of reals, got {deltas!r}")
+    _check(_is_finite_real(r_sx), f"r_sx must be a finite real number, got {r_sx!r}")
+    _check(isinstance(deltas, list) and deltas and all(map(_is_finite_real, deltas)),
+           f"deltas must be a nonempty list of finite reals, got {deltas!r}")
     return r_sx, deltas
 
 
@@ -444,7 +456,7 @@ def _stage_recover(cfg: RunConfig, record: RunRecord) -> None:
     if sizes[0] == 0:
         record.notes.append("target cluster is empty; recovery degenerate")
         result = recovery.RecoveryResult(
-            phi_star=transforms.SpectralState(np.ones(1, dtype=complex), "dft"),
+            phi_star=np.ones(1, dtype=complex),
             prob_table=None,
             fidelity_vs_target=0.0,
             recovered_bases=(),

@@ -17,7 +17,7 @@ import numpy as np
 from scipy import special
 
 from .errors import DimensionError, StateError, ValidationError
-from .transforms import SpectralState, WindowSpec, cqt
+from .transforms import WindowSpec, cqt
 
 EPS = 1e-12
 NUM_CLUSTERS = 2
@@ -103,7 +103,7 @@ class BasisPartition:
 
 
 def transform_bases(model, w: WindowSpec, k: int = 0) -> np.ndarray:
-    """Constant-Q-transform the learned bases column by column.
+    """Constant-Q-transform the learned bases.
 
     Each row of the basis matrix is treated as a register of K amplitudes
     and modulated by the transform; returns the complex M x K matrix C_B.
@@ -116,8 +116,7 @@ def transform_bases(model, w: WindowSpec, k: int = 0) -> np.ndarray:
         raise DimensionError(
             f"window size {w.size} does not match basis count {bases.shape[1]}"
         )
-    rows = [cqt(SpectralState(row), w, k).amplitudes for row in bases]
-    return np.vstack(rows)
+    return cqt(bases, w, k)
 
 
 def contract(t: PartitionTensors) -> np.ndarray:

@@ -18,8 +18,8 @@ from .errors import DimensionError, ValidationError
 from .partition import BasisPartition
 from .transforms import (
     ProbTable,
-    SpectralState,
     WindowSpec,
+    as_state,
     dft,
     icqt,
     idstft,
@@ -49,7 +49,7 @@ class ClusteredBases:
 class RecoveryResult:
     """Outcome of the recovery chain for the target cluster."""
 
-    phi_star: SpectralState
+    phi_star: np.ndarray
     prob_table: ProbTable | None
     fidelity_vs_target: float
     recovered_bases: tuple = ()
@@ -62,7 +62,7 @@ class RecoveryResult:
 
     def to_dict(self) -> dict:
         return {
-            "phi_star": self.phi_star.to_json(),
+            "phi_star": [[float(a.real), float(a.imag)] for a in self.phi_star],
             "prob_table": None if self.prob_table is None else self.prob_table.to_dict(),
             "fidelity_vs_target": float(self.fidelity_vs_target),
             "recovered_bases": [int(k) for k in self.recovered_bases],
@@ -84,8 +84,7 @@ def regroup(
             f"partition covers {part.assignment.shape[0]} bases but the "
             f"transformed matrix has {c_b.shape[1]} columns"
         )
-    rows = [icqt(SpectralState(row, "cqt"), w, k).amplitudes for row in c_b]
-    theta = np.vstack(rows)
+    theta = icqt(c_b, w, k)
     groups = tuple(
         theta[:, part.members(m)] for m in range(1, part.num_clusters + 1)
     )
@@ -96,7 +95,7 @@ def build_superposition(
     part: BasisPartition,
     k1: int,
     offsets=None,
-) -> SpectralState:
+) -> np.ndarray:
     """Anchored register superposition for the partitioned bases.
 
     Every target-cluster member carries offset zero (coherent accumulation
@@ -122,7 +121,7 @@ def build_superposition(
     return superposition(K, k1, per_cluster)
 
 
-def extract_target(state: SpectralState, k1: int, K: int) -> tuple[SpectralState, ProbTable]:
+def extract_target(state, k1: int, K: int) -> tuple[np.ndarray, ProbTable]:
     """Concentrate the anchored superposition and read the peak mass.
 
     Applies the unit-window inverse short-time transform literally and
@@ -131,10 +130,7 @@ def extract_target(state: SpectralState, k1: int, K: int) -> tuple[SpectralState
     table mass, and the unconcentrated cross-term mass is reported as
     ``residual_mass``.
     """
-    if state.basis_size != K:
-        raise DimensionError(
-            f"state length {state.basis_size} does not match register size {K}"
-        )
+    state = as_state(state, K)
     if k1 < 1 or K % k1 != 0:
         raise ValidationError(
             f"k1={k1} must divide the register size K={K} for the "
@@ -145,10 +141,10 @@ def extract_target(state: SpectralState, k1: int, K: int) -> tuple[SpectralState
 
     anchor = k1 % K
     peak = (K // k1) % K
-    anchor_mass = float(np.abs(state.amplitudes[anchor]) ** 2)
+    anchor_mass = float(np.abs(state[anchor]) ** 2)
     probs = np.zeros(K)
     probs[peak] = anchor_mass / K
-    residual = (float(np.sum(np.abs(state.amplitudes) ** 2)) - anchor_mass) / K
+    residual = (float(np.sum(np.abs(state) ** 2)) - anchor_mass) / K
     return out, ProbTable(probabilities=probs, peak_index=peak, residual_mass=residual)
 
 
@@ -175,7 +171,7 @@ def set_overlap_fidelity(recovered, target) -> float:
 
 
 def finalize(
-    state: SpectralState,
+    state,
     K1: int,
     prob_table: ProbTable | None = None,
     recovered_bases=None,
@@ -192,14 +188,15 @@ def finalize(
     """
     if K1 < 1:
         raise ValidationError(f"output register size must be >= 1, got {K1}")
-    if state.basis_size < K1:
+    length = as_state(state).shape[0]
+    if length < K1:
         raise DimensionError(
             f"output register size {K1} exceeds the concentrated register "
-            f"length {state.basis_size}"
+            f"length {length}"
         )
     collapsed = np.zeros(K1, dtype=complex)
     collapsed[0] = 1.0
-    phi_star = dft(SpectralState(collapsed, "idstft"), K1)
+    phi_star = dft(collapsed, K1)
 
     if recovered_bases is None:
         recovered_bases = tuple(range(K1))

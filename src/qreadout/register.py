@@ -49,18 +49,17 @@ class RegisterConfig:
         [0, 1].  Zero yields a clean register.
     seed : int
         64-bit seed; every stochastic draw flows from it.
-    num_sources : int
-        Fixed at 2 (target + residual).
+
+    The source count is always ``NUM_SOURCES`` (target + residual).
     """
 
     horizon: int
     dim: int
     residual_strength: float = 0.3
     seed: int = 0
-    num_sources: int = NUM_SOURCES
 
     def __post_init__(self):
-        for name in ("horizon", "dim", "seed", "num_sources"):
+        for name in ("horizon", "dim", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
@@ -69,10 +68,6 @@ class RegisterConfig:
             raise ConfigurationError(f"residual_strength must be a real number, got {s!r}")
         # stored as a float, so the written config reads 0.0 for 0
         object.__setattr__(self, "residual_strength", float(s))
-        if self.num_sources != NUM_SOURCES:
-            raise ConfigurationError(
-                f"num_sources must be exactly {NUM_SOURCES}, got {self.num_sources}"
-            )
         if self.horizon < 1:
             raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
         if self.dim < 1:
@@ -91,18 +86,20 @@ class RegisterConfig:
             "dim": self.dim,
             "residual_strength": self.residual_strength,
             "seed": self.seed,
-            "num_sources": self.num_sources,
+            "num_sources": NUM_SOURCES,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "RegisterConfig":
+        n = d.get("num_sources", NUM_SOURCES)
+        if not isinstance(n, numbers.Integral) or n != NUM_SOURCES:
+            raise ConfigurationError(f"num_sources must be exactly {NUM_SOURCES}, got {n!r}")
         # no coercion: __post_init__ refuses 600.5 or true where an integer belongs
         return cls(
             horizon=d["horizon"],
             dim=d["dim"],
             residual_strength=d.get("residual_strength", 0.3),
             seed=d.get("seed", 0),
-            num_sources=d.get("num_sources", NUM_SOURCES),
         )
 
 
@@ -176,7 +173,7 @@ class ObservationMatrix:
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
-        expected = (self.metadata.num_sources, self.metadata.horizon)
+        expected = (NUM_SOURCES, self.metadata.horizon)
         if vals.shape != expected:
             raise DimensionError(
                 f"observation must have shape {expected}, got {vals.shape}"
@@ -296,10 +293,10 @@ def observe(gt: GroundTruth, cfg: RegisterConfig) -> ObservationMatrix:
     Channel m carries source m's magnitude series.
     """
     rows = np.asarray(gt.source_rows, dtype=float)
-    if rows.shape != (cfg.num_sources, cfg.horizon):
+    if rows.shape != (NUM_SOURCES, cfg.horizon):
         raise DimensionError(
             f"ground truth shape {rows.shape} does not match config "
-            f"({cfg.num_sources}, {cfg.horizon})"
+            f"({NUM_SOURCES}, {cfg.horizon})"
         )
     if gt.input_weights.shape != (cfg.dim,):
         raise DimensionError(

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, NumericalDomainError, ValidationError
-from .transforms import SpectralState
 
 _HERMITIAN_TOL = 1e-12
 
@@ -87,12 +86,6 @@ class SnrReport:
         }
 
 
-def _amplitudes(state) -> np.ndarray:
-    if isinstance(state, SpectralState):
-        return state.amplitudes
-    return np.asarray(state, dtype=complex)
-
-
 def energy(state, spec: EnergySpec | None = None) -> float:
     """Rayleigh quotient <psi|H|psi> / <psi|psi> of a state.
 
@@ -100,7 +93,7 @@ def energy(state, spec: EnergySpec | None = None) -> float:
     the quotient must stay below 1e-12 relative, which any Hermitian
     matrix guarantees up to rounding.
     """
-    amps = _amplitudes(state)
+    amps = np.asarray(state, dtype=complex)
     h = (spec or EnergySpec()).hamiltonian
     if h is None:
         h_amps = np.arange(amps.shape[0]) * amps

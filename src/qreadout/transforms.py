@@ -1,13 +1,13 @@
-"""Windowed spectral transforms on complex amplitude vectors.
+"""Windowed spectral transforms on complex amplitude arrays.
 
-Three stages share this module: the constant-Q transform and its inverse
-(diagonal phase/window modulations used around the basis-partitioning
-step), the inverse windowed short-time transform (a dense K x K matrix
-application; :mod:`qreadout.recovery` applies it with a unit window for
-the target-recovery concentration step), and the plain unitary DFT.
-
-All transforms are dense O(K^2) applications; there is no fast path and
-none is needed at the scales this package targets (K <= 1024).
+A register state is a complex 1-D ``np.ndarray`` of K amplitudes.  The
+constant-Q transform and its inverse, used around the basis-partitioning
+step, are one diagonal phase/window modulation: O(K) per register, applied
+to every register of a stack along the last axis.  The inverse windowed
+short-time transform (applied by :mod:`qreadout.recovery` with a unit
+window for the concentration step) and the unitary DFT are dense O(K^2)
+matrix applications to one register; no fast path is needed at the
+scales this package targets (K <= 1024).
 """
 
 from __future__ import annotations
@@ -17,8 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-
-LABELS = ("raw", "cqt", "icqt", "idstft", "dft")
 
 
 @dataclass(frozen=True)
@@ -34,50 +32,11 @@ class WindowSpec:
             raise ValidationError(f"window size must be >= 1, got {self.size}")
 
     def values(self, offsets: np.ndarray) -> np.ndarray:
-        """Window weight at each integer offset (1 everywhere when unit)."""
-        if self.unit_window:
+        """Window weight at each integer offset: 1 everywhere when unit, or
+        at size 1, since a one-sample window has no taper."""
+        if self.unit_window or self.size == 1:
             return np.ones_like(np.asarray(offsets, dtype=float))
         return hann_window(np.asarray(offsets, dtype=float), self.size)
-
-
-@dataclass(frozen=True)
-class SpectralState:
-    """Complex amplitude vector tagged with the stage that produced it."""
-
-    amplitudes: np.ndarray
-    label: str = "raw"
-
-    def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        object.__setattr__(self, "amplitudes", amps)
-        if amps.ndim != 1:
-            raise DimensionError(f"amplitudes must be 1-D, got ndim={amps.ndim}")
-        if self.label not in LABELS:
-            raise ValidationError(f"unknown state label {self.label!r}")
-
-    @property
-    def basis_size(self) -> int:
-        return self.amplitudes.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.amplitudes))
-
-    def normalized(self) -> "SpectralState":
-        n = self.norm()
-        if n == 0.0:
-            raise ValidationError("cannot normalize a zero state")
-        return SpectralState(self.amplitudes / n, self.label)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-    def to_json(self) -> list[list[float]]:
-        return [[float(a.real), float(a.imag)] for a in self.amplitudes]
-
-    @classmethod
-    def from_json(cls, pairs, label: str = "raw") -> "SpectralState":
-        amps = np.array([complex(re, im) for re, im in pairs])
-        return cls(amps, label)
 
 
 @dataclass(frozen=True)
@@ -115,48 +74,56 @@ def hann_window(x, K: int):
     return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.asarray(x, dtype=float) / (K - 1)))
 
 
-def _check_length(state: SpectralState, size: int) -> None:
-    if state.basis_size != size:
+def as_state(state, size: int | None = None, *, stacked: bool = False) -> np.ndarray:
+    """``state`` as a complex register: a 1-D array, or with ``stacked``
+    an array of any rank >= 1 holding one register per last-axis row.
+
+    ``size``, when given, is the number of amplitudes a register must
+    hold.  Raises ``DimensionError`` otherwise.
+    """
+    amps = np.asarray(state, dtype=complex)
+    if amps.ndim != 1 and not (stacked and amps.ndim > 1):
+        raise DimensionError(f"amplitudes must be 1-D, got ndim={amps.ndim}")
+    if size is not None and amps.shape[-1] != size:
         raise DimensionError(
-            f"state length {state.basis_size} does not match transform size {size}"
+            f"state length {amps.shape[-1]} does not match transform size {size}"
         )
+    return amps
 
 
-def cqt(state: SpectralState, w: WindowSpec, k: int) -> SpectralState:
+def _modulate(state, w: WindowSpec, k: int, sign: int) -> np.ndarray:
+    """Scale amplitude j of each register along the last axis by
+    (1/sqrt(K)) * f_W(j - h) * exp(sign * 2 pi i j Q / h), Q = h k / K."""
+    amps = as_state(state, w.size, stacked=True)
+    K = w.size
+    j = np.arange(K)
+    q = w.shift * k / K
+    coeff = (
+        w.values(j - w.shift)
+        * np.exp(sign * 2j * np.pi * j * q / w.shift)
+        / np.sqrt(K)
+    )
+    return coeff * amps
+
+
+def cqt(state, w: WindowSpec, k: int) -> np.ndarray:
     """Constant-Q modulation at frequency index k.
 
     The output amplitude at position j is the input amplitude scaled by
     (1/sqrt(K)) * f_W(j - h) * exp(2 pi i j Q / h) with Q = h k / K, so the
-    transform acts diagonally on the register.
+    transform acts diagonally on the register.  ``state`` may be a stack of
+    registers; each last-axis row is modulated.
     """
     if w.shift < 1:
         raise ValidationError("constant-Q transform requires shift h >= 1")
-    _check_length(state, w.size)
-    K = w.size
-    j = np.arange(K)
-    q = w.shift * k / K
-    coeff = (
-        w.values(j - w.shift)
-        * np.exp(2j * np.pi * j * q / w.shift)
-        / np.sqrt(K)
-    )
-    return SpectralState(coeff * state.amplitudes, "cqt")
+    return _modulate(state, w, k, 1)
 
 
-def icqt(state: SpectralState, w: WindowSpec, k: int) -> SpectralState:
+def icqt(state, w: WindowSpec, k: int) -> np.ndarray:
     """Inverse constant-Q modulation: conjugated phase, same window."""
     if w.shift < 1:
         raise ValidationError("inverse constant-Q transform requires shift h >= 1")
-    _check_length(state, w.size)
-    K = w.size
-    j = np.arange(K)
-    q = w.shift * k / K
-    coeff = (
-        w.values(j - w.shift)
-        * np.exp(-2j * np.pi * j * q / w.shift)
-        / np.sqrt(K)
-    )
-    return SpectralState(coeff * state.amplitudes, "icqt")
+    return _modulate(state, w, k, -1)
 
 
 def idstft_matrix(w: WindowSpec) -> np.ndarray:
@@ -172,14 +139,14 @@ def idstft_matrix(w: WindowSpec) -> np.ndarray:
     return window * np.exp(-2j * np.pi * j * k / K) / np.sqrt(K)
 
 
-def idstft(state: SpectralState, w: WindowSpec) -> SpectralState:
+def idstft(state, w: WindowSpec) -> np.ndarray:
     """Inverse windowed short-time transform (matrix application).
 
     With a unit window this coincides row-for-row with the inverse DFT
     matrix and is unitary; a tapered window breaks unitarity by design.
     """
-    _check_length(state, w.size)
-    return SpectralState(idstft_matrix(w) @ state.amplitudes, "idstft")
+    amps = as_state(state, w.size)
+    return idstft_matrix(w) @ amps
 
 
 def dft_matrix(size: int) -> np.ndarray:
@@ -188,12 +155,12 @@ def dft_matrix(size: int) -> np.ndarray:
     return np.exp(2j * np.pi * j * k / size) / np.sqrt(size)
 
 
-def dft(state: SpectralState, size: int) -> SpectralState:
+def dft(state, size: int) -> np.ndarray:
     """Unitary discrete Fourier transform of a length-``size`` state."""
     if size < 1:
         raise ValidationError(f"DFT size must be >= 1, got {size}")
-    _check_length(state, size)
-    return SpectralState(dft_matrix(size) @ state.amplitudes, "dft")
+    amps = as_state(state, size)
+    return dft_matrix(size) @ amps
 
 
 def synthesize_offsets(K: int, cluster_size: int) -> np.ndarray:
@@ -213,7 +180,7 @@ def synthesize_offsets(K: int, cluster_size: int) -> np.ndarray:
     return delta * np.arange(1, K2 + 1)
 
 
-def superposition(K: int, k1: int, offsets_per_cluster: list[np.ndarray]) -> SpectralState:
+def superposition(K: int, k1: int, offsets_per_cluster: list[np.ndarray]) -> np.ndarray:
     """Amplitude-1/sqrt(K) superposition over anchored register positions.
 
     Cluster m's member with offset x occupies position (k1 + x) mod K.
@@ -247,5 +214,5 @@ def superposition(K: int, k1: int, offsets_per_cluster: list[np.ndarray]) -> Spe
                 )
             occupied.add(idx)
             amps[idx] += alpha
-    return SpectralState(amps, "raw")
+    return amps
 

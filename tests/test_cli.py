@@ -168,6 +168,9 @@ BAD_ENTRIES = [
     ("transform", "k", "x"),
     ("transform", "k", 1.5),
     ("transform", "k", False),
+    ("transform", "k", 10**400),
+    ("transform", "shift", 10**400),
+    ("transform", "shift", 2**63),
     ("transform", "unit_window", 1),
     ("transform", "unit_window", "yes"),
     ("transform", None, [1]),
@@ -177,6 +180,8 @@ BAD_ENTRIES = [
     ("sweep", "r_sx", True),
     ("sweep", "deltas", ["x"]),
     ("sweep", "deltas", [1, True]),
+    ("sweep", "r_sx", 10**400),
+    ("sweep", "deltas", [10**400]),
     ("register", "horizon", True),
     ("register", "horizon", 10),
     ("register", "residual_strength", True),
@@ -224,7 +229,7 @@ class TestCsvArtifacts:
         cfg = register.RegisterConfig.from_dict(doc["config"])
         rows = self.read(pipeline_out / "observation.csv")
         assert rows[0] == ["m"] + [f"t{t}" for t in range(cfg.horizon)]
-        assert [row[0] for row in rows[1:]] == [str(m) for m in range(cfg.num_sources)]
+        assert [row[0] for row in rows[1:]] == [str(m) for m in range(register.NUM_SOURCES)]
         back = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
         np.testing.assert_array_equal(back, doc["values"])
 
@@ -552,6 +557,19 @@ class TestMain:
         doc = {"stage": "pipeline", "output_dir": str(tmp_path / "out")}
         assert cli.main(["fit", "--config", str(write_config(tmp_path, doc))]) == 0
         assert (tmp_path / "out" / "model.json").exists()
+
+    def test_tapered_window_with_one_basis(self, tmp_path, capsys):
+        # a clean register selects K* = 1; a one-sample window has no taper
+        doc = {
+            "output_dir": str(tmp_path / "out"),
+            "register": {"horizon": 64, "dim": 16, "residual_strength": 0.0},
+            "transform": {"k": 0, "unit_window": False},
+        }
+        path = write_config(tmp_path, doc)
+        assert cli.main(["pipeline", "--config", str(path)]) == 0
+        model = json.loads((tmp_path / "out" / "model.json").read_text())
+        assert model["K"] == 1
+        assert (tmp_path / "out" / "recovery.json").exists()
 
     def test_pipeline_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, config_doc(tmp_path))

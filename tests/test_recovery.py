@@ -1,3 +1,6 @@
+import json
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import linalg
@@ -5,7 +8,7 @@ from scipy import linalg
 from qreadout import bnmf, partition as pm, recovery as rc, register
 from qreadout.artifacts import write_json
 from qreadout.errors import DimensionError, ValidationError
-from qreadout.transforms import SpectralState, WindowSpec
+from qreadout.transforms import WindowSpec, cqt, icqt
 
 
 def fitted_model(seed=0, K=2):
@@ -50,6 +53,24 @@ class TestRegroup:
         angle = linalg.subspace_angles(got, want)[0]
         assert np.degrees(angle) < 10.0
 
+    @pytest.mark.parametrize("K", range(1, 9))
+    def test_matrix_equals_per_row_transforms_bit_for_bit(self, K):
+        # the whole-matrix modulation against a 1-D cqt/icqt call per basis
+        # row, compared bit for bit (signed zeros included)
+        rng = np.random.default_rng(K)
+        part = pm.BasisPartition(assignment=rng.integers(1, 3, size=K))
+        for unit in (True, False):
+            for shift in range(1, K + 3):
+                w = WindowSpec(shift=shift, size=K, unit_window=unit)
+                for k in range(-3, 6):
+                    model = SimpleNamespace(bases=rng.gamma(1.0, size=(3, K)), iterations=1)
+                    c_b = pm.transform_bases(model, w, k)
+                    ref = np.vstack([cqt(row, w, k) for row in model.bases])
+                    np.testing.assert_array_equal(c_b.view(np.int64), ref.view(np.int64))
+                    theta = rc.regroup(c_b, part, w, k).composite
+                    ref = np.vstack([icqt(row, w, k) for row in c_b])
+                    np.testing.assert_array_equal(theta.view(np.int64), ref.view(np.int64))
+
     def test_partition_size_mismatch(self):
         model = fitted_model()
         part = pm.BasisPartition(assignment=np.array([1, 2, 1]))
@@ -64,14 +85,14 @@ class TestBuildSuperposition:
         part = pm.BasisPartition(assignment=np.array([1, 1, 1, 1]))
         state = rc.build_superposition(part, k1=2)
         K = 4
-        assert state.amplitudes[2] == pytest.approx(K / np.sqrt(K), abs=1e-15)
-        assert np.count_nonzero(state.amplitudes) == 1
+        assert state[2] == pytest.approx(K / np.sqrt(K), abs=1e-15)
+        assert np.count_nonzero(state) == 1
 
     def test_duplicate_mass_pattern(self):
         # K=4, K1=2, offsets (0,0,1,2): squared masses (1/4)*(4,1,1)
         part = pm.BasisPartition(assignment=np.array([1, 1, 2, 2]))
         state = rc.build_superposition(part, k1=1, offsets=[1, 2])
-        masses = np.abs(state.amplitudes) ** 2
+        masses = np.abs(state) ** 2
         np.testing.assert_allclose(masses[[1, 2, 3]], [1.0, 0.25, 0.25], atol=1e-15)
 
     def test_empty_residual_cluster_matches_single_cluster(self):
@@ -81,7 +102,7 @@ class TestBuildSuperposition:
         only = rc.build_superposition(
             pm.BasisPartition(assignment=np.array([1, 1, 1])), k1=1, offsets=[]
         )
-        np.testing.assert_allclose(full.amplitudes, only.amplitudes)
+        np.testing.assert_allclose(full, only)
 
     def test_offset_collision_rejected(self):
         part = pm.BasisPartition(assignment=np.array([1, 2, 2]))
@@ -149,20 +170,18 @@ class TestFinalize:
         )
         assert result.fidelity_vs_target == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(
-            np.abs(result.phi_star.amplitudes), 1 / np.sqrt(2), atol=1e-10
+            np.abs(result.phi_star), 1 / np.sqrt(2), atol=1e-10
         )
 
     def test_single_basis_trivial(self):
-        result = rc.finalize(
-            SpectralState(np.ones(1, dtype=complex), "idstft"), 1
-        )
+        result = rc.finalize(np.ones(1, dtype=complex), 1)
         assert result.fidelity_vs_target == 1.0
-        np.testing.assert_allclose(result.phi_star.amplitudes, [1.0])
+        np.testing.assert_allclose(result.phi_star, [1.0])
 
     def test_fidelity_decreases_with_misassignments(self):
         # enumerate single- and double-error recoveries of a 4-basis target
         target = [0, 1, 2, 3]
-        state = SpectralState(np.ones(8, dtype=complex), "idstft")
+        state = np.ones(8, dtype=complex)
         clean = rc.finalize(state, 4, recovered_bases=target, target_bases=target)
         singles, doubles = [], []
         for wrong in range(4, 8):
@@ -186,12 +205,14 @@ class TestFinalize:
         assert max(doubles) < min(singles)
 
     def test_serialization(self, tmp_path):
-        result = rc.finalize(SpectralState(np.ones(2, dtype=complex), "idstft"), 2)
+        result = rc.finalize(np.ones(2, dtype=complex), 2)
         path = tmp_path / "rec.json"
         write_json(result.to_dict(), path)
-        doc = __import__("json").load(open(path))
+        doc = json.loads(path.read_text())
         assert doc["fidelity_vs_target"] == 1.0
         assert len(doc["phi_star"]) == 2
+        back = np.array([complex(re, im) for re, im in doc["phi_star"]])
+        np.testing.assert_allclose(back, result.phi_star)
 
 
 class TestEndToEndIdentity:

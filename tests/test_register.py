@@ -28,8 +28,11 @@ class TestConfigValidation:
             make_cfg(residual_strength=1.5)
 
     def test_rejects_wrong_source_count(self):
-        with pytest.raises(ConfigurationError, match="num_sources"):
-            make_cfg(num_sources=3)
+        # the count is fixed; only the reader of a written config can meet another
+        for count in (3, 1, 2.0, True, "2"):
+            doc = {**make_cfg().to_dict(), "num_sources": count}
+            with pytest.raises(ConfigurationError, match="num_sources"):
+                register.RegisterConfig.from_dict(doc)
 
     @pytest.mark.parametrize(
         "name,value",

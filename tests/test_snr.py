@@ -5,7 +5,6 @@ import pytest
 
 from qreadout import snr
 from qreadout.errors import DimensionError, NumericalDomainError, ValidationError
-from qreadout.transforms import SpectralState
 
 
 def random_hermitian(rng, L):
@@ -50,10 +49,6 @@ class TestEnergy:
         assert snr.energy(np.exp(1.3j) * v, spec) == pytest.approx(
             base, abs=1e-12 * max(1, abs(base))
         )
-
-    def test_accepts_spectral_state(self):
-        state = SpectralState(np.array([0, 1.0], dtype=complex), "dft")
-        assert snr.energy(state) == pytest.approx(1.0)
 
     def test_zero_norm_rejected(self):
         with pytest.raises(NumericalDomainError):
