@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,16 @@ class TestSuperposition:
     def test_collision_rejected(self):
         with pytest.raises(ValidationError):
             tr.superposition(4, 1, [np.zeros(2, int), np.array([1, 1])])
+
+
+class TestSpectralState:
+    def test_json_roundtrip(self):
+        """A state is a plain complex array; recovery.json keeps it as [re, im] pairs."""
+        v = tr.as_state(np.array([1 + 2j, -0.5 + 0j]), 2)
+        result = rc.RecoveryResult(phi_star=v, prob_table=None, fidelity_vs_target=1.0)
+        doc = json.loads(json.dumps(result.to_dict()))
+        back = np.array([complex(re, im) for re, im in doc["phi_star"]])
+        np.testing.assert_allclose(back, v)
 
 
 class TestIdstftUnit:
