@@ -27,7 +27,7 @@ from .bnmf import FactorModel, FitOptions, FitResult, fit, select_order
 from .transforms import ProbTable, WindowSpec, cqt, dft, hann_window, icqt, idstft
 from .partition import BasisPartition, PartitionTensors, assign, contract, fit_partition, score, transform_bases
 from .recovery import ClusteredBases, RecoveryResult, build_superposition, extract_target, finalize, regroup
-from .snr import EnergySpec, SnrReport, delta, energy, snr_report, sweep_curve
+from .snr import SnrReport, energy, snr_report, sweep_curve
 
 __all__ = [
     "__version__",
@@ -67,10 +67,8 @@ __all__ = [
     "build_superposition",
     "extract_target",
     "finalize",
-    "EnergySpec",
     "SnrReport",
     "energy",
-    "delta",
     "snr_report",
     "sweep_curve",
 ]

@@ -172,16 +172,12 @@ def _check(ok: bool, message: str) -> None:
 
 
 def _register(sec: dict, seed: int) -> register.RegisterConfig:
-    reg = register.RegisterConfig(
+    return register.RegisterConfig(
         horizon=sec["horizon"],
         dim=sec["dim"],
         residual_strength=sec["residual_strength"],
         seed=sec.get("seed", seed),
     )
-    # one time window per component: fewer steps than components leaves
-    # some components unobservable (the library allows it, the CLI does not)
-    _check(reg.horizon >= reg.dim, f"horizon must be >= dim ({reg.dim}), got {reg.horizon}")
-    return reg
 
 
 def _factorization(sec: dict, seed: int) -> tuple[bnmf.FitOptions, tuple[int, int]]:
@@ -220,7 +216,7 @@ def _sweep(sec: dict, seed: int) -> tuple[float, list]:
 _SECTIONS = {
     "register": _register,
     "factorization": _factorization,
-    "partition": lambda sec, seed: bnmf.FitOptions(sec["max_iters"], sec["tol"], seed),
+    "partition": lambda sec, seed: bnmf.FitOptions(sec["max_iters"], sec["tol"]),
     "transform": _transform,
     "recovery": _recovery,
     "sweep": _sweep,
@@ -398,7 +394,6 @@ def _stage_partition(cfg: RunConfig, record: RunRecord) -> None:
             K,
             max_iters=cfg.partition.max_iters,
             tol=cfg.partition.tol,
-            seed=cfg.partition.seed,
             init_bases=np.abs(c_b),
             init_activations=model.activations,
         )
@@ -515,12 +510,7 @@ def _stage_verify(cfg: RunConfig, record: RunRecord) -> None:
         )
     phi_out = np.sqrt(spectrum).astype(complex)
 
-    spec = snr.EnergySpec()
-    report = snr.snr_report(
-        snr.energy(psi_in, spec),
-        snr.energy(phi, spec),
-        snr.energy(phi_out, spec),
-    )
+    report = snr.snr_report(snr.energy(psi_in), snr.energy(phi), snr.energy(phi_out))
     _save(cfg, record, "snr_report.json", report.to_dict())
     if report.no_gain:
         record.notes.append("verification flagged no-gain (delta <= 0)")

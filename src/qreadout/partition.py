@@ -5,7 +5,7 @@ is decomposed into a translation tensor R (M x 1 x M), a basis tensor E
 (M x K) and an activation tensor H (1 x K x T).  The contraction sums the
 shared source axis of R and E and then the shared basis axis with H.
 Per-basis, per-source scores from the restricted contraction drive the
-assignment of each basis to one of the two source clusters.
+assignment of each basis to one of the ``NUM_SOURCES`` source clusters.
 """
 
 from __future__ import annotations
@@ -17,10 +17,10 @@ import numpy as np
 from scipy import special
 
 from .errors import DimensionError, StateError, ValidationError
+from .register import NUM_SOURCES
 from .transforms import WindowSpec, cqt
 
 EPS = 1e-12
-NUM_CLUSTERS = 2
 
 
 @dataclass(frozen=True)
@@ -50,21 +50,12 @@ class PartitionTensors:
             if not np.all(np.isfinite(a)) or np.any(a < 0):
                 raise ValidationError(f"{name} entries must be finite and nonnegative")
 
-    @property
-    def num_sources(self) -> int:
-        return self.R.shape[0]
-
-    @property
-    def num_bases(self) -> int:
-        return self.E.shape[1]
-
 
 @dataclass(frozen=True)
 class BasisPartition:
-    """Assignment of each of the K bases to one of the source clusters."""
+    """Assignment of each of the K bases to cluster 1 (target) or 2 (residual)."""
 
-    assignment: np.ndarray  # length K, entries in {1..M}
-    num_clusters: int = NUM_CLUSTERS
+    assignment: np.ndarray  # length K, entries in {1..NUM_SOURCES}
     degenerate: tuple = ()
 
     def __post_init__(self):
@@ -72,17 +63,12 @@ class BasisPartition:
         object.__setattr__(self, "assignment", a)
         if a.ndim != 1:
             raise DimensionError("assignment must be a flat vector")
-        if a.size and (a.min() < 1 or a.max() > self.num_clusters):
-            raise ValidationError(
-                f"assignment entries must lie in 1..{self.num_clusters}"
-            )
+        if a.size and (a.min() < 1 or a.max() > NUM_SOURCES):
+            raise ValidationError(f"assignment entries must lie in 1..{NUM_SOURCES}")
 
     @property
     def cluster_sizes(self) -> list[int]:
-        return [
-            int(np.sum(self.assignment == m))
-            for m in range(1, self.num_clusters + 1)
-        ]
+        return [int(np.sum(self.assignment == m)) for m in range(1, NUM_SOURCES + 1)]
 
     def members(self, m: int) -> np.ndarray:
         return np.flatnonzero(self.assignment == m)
@@ -241,10 +227,13 @@ def assign(t: PartitionTensors) -> BasisPartition:
     """Assign every basis to the source cluster with the largest score.
 
     Ties break toward the smaller cluster index; an all-zero score column
-    goes to cluster 1 and is reported in ``degenerate``.
+    goes to cluster 1 and is reported in ``degenerate``.  The tensors must
+    have ``NUM_SOURCES`` sources, one per cluster.
     """
     per_source, _ = score(t)
     M, K = per_source.shape
+    if M != NUM_SOURCES:
+        raise DimensionError(f"assignment needs {NUM_SOURCES} sources, got M={M}")
     assignment = np.ones(K, dtype=int)
     degenerate = []
     for k in range(K):
@@ -259,8 +248,4 @@ def assign(t: PartitionTensors) -> BasisPartition:
             RuntimeWarning,
             stacklevel=2,
         )
-    return BasisPartition(
-        assignment=assignment,
-        num_clusters=M,
-        degenerate=tuple(degenerate),
-    )
+    return BasisPartition(assignment=assignment, degenerate=tuple(degenerate))

@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 from .partition import BasisPartition
+from .register import NUM_SOURCES
 from .transforms import (
     ProbTable,
     WindowSpec,
@@ -85,40 +86,20 @@ def regroup(
             f"transformed matrix has {c_b.shape[1]} columns"
         )
     theta = icqt(c_b, w, k)
-    groups = tuple(
-        theta[:, part.members(m)] for m in range(1, part.num_clusters + 1)
-    )
+    groups = tuple(theta[:, part.members(m)] for m in range(1, NUM_SOURCES + 1))
     return ClusteredBases(groups=groups, composite=theta)
 
 
-def build_superposition(
-    part: BasisPartition,
-    k1: int,
-    offsets=None,
-) -> np.ndarray:
+def build_superposition(part: BasisPartition, k1: int) -> np.ndarray:
     """Anchored register superposition for the partitioned bases.
 
     Every target-cluster member carries offset zero (coherent accumulation
-    on the anchor position); residual members carry the given or canonical
-    distinct nonzero offsets.
+    on the anchor position); residual members carry the canonical distinct
+    nonzero offsets of ``synthesize_offsets``.
     """
-    sizes = part.cluster_sizes
-    K = int(sum(sizes))
-    K1 = sizes[0]
-    if offsets is None:
-        offsets = synthesize_offsets(K, K1)
-    offsets = np.asarray(offsets, dtype=int)
-    residual_count = K - K1
-    if offsets.shape != (residual_count,):
-        raise ValidationError(
-            f"expected {residual_count} residual offsets, got {offsets.shape[0]}"
-        )
-    per_cluster = [np.zeros(K1, dtype=int)]
-    start = 0
-    for size in sizes[1:]:
-        per_cluster.append(offsets[start : start + size])
-        start += size
-    return superposition(K, k1, per_cluster)
+    K1, K2 = part.cluster_sizes
+    K = K1 + K2
+    return superposition(K, k1, K1, synthesize_offsets(K, K1))
 
 
 def extract_target(state, k1: int, K: int) -> tuple[np.ndarray, ProbTable]:
@@ -173,9 +154,9 @@ def set_overlap_fidelity(recovered, target) -> float:
 def finalize(
     state,
     K1: int,
-    prob_table: ProbTable | None = None,
-    recovered_bases=None,
-    target_bases=None,
+    prob_table: ProbTable | None,
+    recovered_bases,
+    target_bases,
 ) -> RecoveryResult:
     """Apply the final DFT and score the recovered target state.
 
@@ -183,8 +164,7 @@ def finalize(
     DFT input is the corresponding basis state of the K1-sized output
     register and phi_star comes out uniform with amplitude 1/sqrt(K1).
     Fidelity is the squared overlap between the uniform state over the
-    recovered basis set and the one over the true target set; with no
-    reference set the recovered state is its own reference.
+    recovered basis set and the one over the true target set.
     """
     if K1 < 1:
         raise ValidationError(f"output register size must be >= 1, got {K1}")
@@ -197,16 +177,9 @@ def finalize(
     collapsed = np.zeros(K1, dtype=complex)
     collapsed[0] = 1.0
     phi_star = dft(collapsed, K1)
-
-    if recovered_bases is None:
-        recovered_bases = tuple(range(K1))
-    if target_bases is None:
-        fidelity = 1.0
-    else:
-        fidelity = set_overlap_fidelity(recovered_bases, target_bases)
     return RecoveryResult(
         phi_star=phi_star,
         prob_table=prob_table,
-        fidelity_vs_target=fidelity,
+        fidelity_vs_target=set_overlap_fidelity(recovered_bases, target_bases),
         recovered_bases=tuple(int(k) for k in recovered_bases),
     )

@@ -41,7 +41,8 @@ class RegisterConfig:
     Parameters
     ----------
     horizon : int
-        Number of evolution steps T (columns of the observation).
+        Number of evolution steps T (columns of the observation), at least
+        ``dim``: each component gets its own time window.
     dim : int
         Number of input components n (the spectral axis).
     residual_strength : float
@@ -79,6 +80,11 @@ class RegisterConfig:
             )
         if self.seed < 0:
             raise ConfigurationError(f"seed must be nonnegative, got {self.seed}")
+        # fewer steps than components would leave some components unobservable
+        if self.horizon < self.dim:
+            raise ConfigurationError(
+                f"horizon must be >= dim ({self.dim}), got {self.horizon}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -225,8 +231,6 @@ def _bands(dim: int) -> tuple[np.ndarray, np.ndarray]:
     lo = np.arange(lo_start, min(lo_start + width, dim - width))
     if lo.size == 0:
         lo = np.arange(0, max(1, dim - width))
-    if lo.size == 0:
-        lo = hi
     return lo, hi
 
 
@@ -245,8 +249,8 @@ def generate_input(cfg: RegisterConfig) -> GroundTruth:
     Row 0 is the target source built from the low component band; row 1 is
     the residual built from the high band and rescaled so its Frobenius
     norm is exactly ``residual_strength`` times the target's.  Deterministic
-    for a fixed seed.  Components beyond the horizon get empty time windows,
-    so ``horizon >= dim`` keeps every component observable.
+    for a fixed seed.  The config's ``horizon >= dim`` gives every component
+    a nonempty time window.
     """
     rng = np.random.default_rng(cfg.seed)
     n, horizon = cfg.dim, cfg.horizon

@@ -1,9 +1,9 @@
 """Retrieval-efficiency verification: wavefunction energies and output SNR.
 
-The verification oracle scores a state by its Rayleigh quotient against a
-Hamiltonian (default: the number operator diag(0..L-1)).  From the three
-energies S (input), X (register) and T (output) it derives the energy
-ratios, their difference delta, and the SNR figures in dB.
+The verification oracle scores a state by its Rayleigh quotient against
+the number operator diag(0..L-1).  From the three energies S (input),
+X (register) and T (output) it derives the energy ratios, their difference
+delta, and the SNR figures in dB.
 
 The primary output SNR is 10*log10(S/T).  The additive delta of the ratio
 difference and the multiplicative decomposition of the dB chain agree only
@@ -18,31 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, NumericalDomainError, ValidationError
-
-_HERMITIAN_TOL = 1e-12
-
-
-@dataclass(frozen=True)
-class EnergySpec:
-    """Hamiltonian used by the verification oracle.
-
-    ``hamiltonian`` may be any Hermitian matrix; ``None`` selects the
-    number operator diag(0..L-1) sized to the state being scored, applied
-    as its diagonal so it costs O(L) rather than a dense L x L matrix.
-    """
-
-    hamiltonian: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.hamiltonian is None:
-            return
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        object.__setattr__(self, "hamiltonian", h)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise DimensionError(f"hamiltonian must be square, got {h.shape}")
-        if not np.allclose(h, h.conj().T, atol=_HERMITIAN_TOL):
-            raise ValidationError("hamiltonian must be Hermitian within 1e-12")
+from .errors import NumericalDomainError
 
 
 @dataclass(frozen=True)
@@ -86,24 +62,16 @@ class SnrReport:
         }
 
 
-def energy(state, spec: EnergySpec | None = None) -> float:
-    """Rayleigh quotient <psi|H|psi> / <psi|psi> of a state.
+def energy(state) -> float:
+    """Rayleigh quotient <psi|N|psi> / <psi|psi> of a state under the
+    number operator N = diag(0..L-1), applied as its diagonal in O(L).
 
     Invariant under global phase and rescaling; the imaginary residual of
-    the quotient must stay below 1e-12 relative, which any Hermitian
-    matrix guarantees up to rounding.
+    the quotient must stay below 1e-12 relative, which the Hermitian N
+    guarantees up to rounding.
     """
     amps = np.asarray(state, dtype=complex)
-    h = (spec or EnergySpec()).hamiltonian
-    if h is None:
-        h_amps = np.arange(amps.shape[0]) * amps
-    elif h.shape[0] != amps.shape[0]:
-        raise DimensionError(
-            f"hamiltonian dimension {h.shape[0]} does not match state "
-            f"length {amps.shape[0]}"
-        )
-    else:
-        h_amps = h @ amps
+    h_amps = np.arange(amps.shape[0]) * amps
     norm_sq = float(np.real(np.vdot(amps, amps)))
     if norm_sq == 0.0:
         raise NumericalDomainError("cannot score a zero-norm state")
@@ -114,13 +82,6 @@ def energy(state, spec: EnergySpec | None = None) -> float:
             f"energy has a non-negligible imaginary part: {value.imag!r}"
         )
     return float(value.real)
-
-
-def delta(S: float, X: float, T: float) -> float:
-    """Difference of the energy ratios: S/T - S/X."""
-    if X == 0.0 or T == 0.0:
-        raise NumericalDomainError("delta requires nonzero X and T energies")
-    return S / T - S / X
 
 
 def snr_report(S: float, X: float, T: float) -> SnrReport:

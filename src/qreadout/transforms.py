@@ -180,39 +180,29 @@ def synthesize_offsets(K: int, cluster_size: int) -> np.ndarray:
     return delta * np.arange(1, K2 + 1)
 
 
-def superposition(K: int, k1: int, offsets_per_cluster: list[np.ndarray]) -> np.ndarray:
+def superposition(K: int, k1: int, K1: int, residual_offsets) -> np.ndarray:
     """Amplitude-1/sqrt(K) superposition over anchored register positions.
 
-    Cluster m's member with offset x occupies position (k1 + x) mod K.
-    Target-cluster members all carry offset zero and accumulate coherently
-    on the anchor position; distinct members of other clusters must map to
-    distinct free positions.
+    The K1 target-cluster members accumulate coherently on the anchor
+    position k1 mod K; the residual member with offset x occupies position
+    (k1 + x) mod K, and distinct residual members must map to distinct free
+    positions.
     """
     if K < 1:
         raise ValidationError(f"register size must be >= 1, got {K}")
     alpha = 1.0 / np.sqrt(K)
     amps = np.zeros(K, dtype=complex)
     anchor = k1 % K
+    # one addition per member, in order: K1 * alpha may differ in the last bit
+    for _ in range(K1):
+        amps[anchor] += alpha
     occupied: set[int] = set()
-    for m, offsets in enumerate(offsets_per_cluster):
-        for x in np.asarray(offsets, dtype=int):
-            if m == 0:
-                if x != 0:
-                    raise ValidationError(
-                        "target-cluster offsets must all be zero"
-                    )
-                amps[anchor] += alpha
-                continue
-            if x % K == 0:
-                raise ValidationError(
-                    "residual-cluster offsets must be nonzero modulo K"
-                )
-            idx = (anchor + int(x)) % K
-            if idx == anchor or idx in occupied:
-                raise ValidationError(
-                    f"offset collision: position {idx} already occupied"
-                )
-            occupied.add(idx)
-            amps[idx] += alpha
+    for x in np.asarray(residual_offsets, dtype=int):
+        if x % K == 0:
+            raise ValidationError("residual-cluster offsets must be nonzero modulo K")
+        idx = (anchor + int(x)) % K
+        if idx in occupied:
+            raise ValidationError(f"offset collision: position {idx} already occupied")
+        occupied.add(idx)
+        amps[idx] += alpha
     return amps
-

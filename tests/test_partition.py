@@ -195,6 +195,11 @@ class TestAssign:
         b = pm.assign(self.build(scores * 37.5))
         np.testing.assert_array_equal(a.assignment, b.assignment)
 
+    def test_three_sources_rejected(self):
+        # one cluster per source, and the register has two
+        with pytest.raises(DimensionError, match="2 sources"):
+            pm.assign(random_tensors(0, M=3, K=4))
+
     def test_every_basis_assigned_once(self):
         for seed in range(10):
             t = random_tensors(seed, K=5, T=6)

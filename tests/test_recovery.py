@@ -89,25 +89,23 @@ class TestBuildSuperposition:
         assert np.count_nonzero(state) == 1
 
     def test_duplicate_mass_pattern(self):
-        # K=4, K1=2, offsets (0,0,1,2): squared masses (1/4)*(4,1,1)
+        # K=4, K1=2, canonical offsets (0,0,1,2): squared masses (1/4)*(4,1,1)
         part = pm.BasisPartition(assignment=np.array([1, 1, 2, 2]))
-        state = rc.build_superposition(part, k1=1, offsets=[1, 2])
+        state = rc.build_superposition(part, k1=1)
         masses = np.abs(state) ** 2
         np.testing.assert_allclose(masses[[1, 2, 3]], [1.0, 0.25, 0.25], atol=1e-15)
 
     def test_empty_residual_cluster_matches_single_cluster(self):
-        full = rc.build_superposition(
-            pm.BasisPartition(assignment=np.array([1, 1, 1])), k1=1
-        )
-        only = rc.build_superposition(
-            pm.BasisPartition(assignment=np.array([1, 1, 1])), k1=1, offsets=[]
-        )
-        np.testing.assert_allclose(full, only)
-
-    def test_offset_collision_rejected(self):
-        part = pm.BasisPartition(assignment=np.array([1, 2, 2]))
-        with pytest.raises(ValidationError, match="collision"):
-            rc.build_superposition(part, k1=0, offsets=[1, 1])
+        # the anchor holds K1 additions of 1/sqrt(K) in order, bit for bit
+        # (K1 * alpha may differ in the last bit), and nothing else is set
+        for K in (1, 3, 5, 7, 12, 64):
+            full = rc.build_superposition(pm.BasisPartition(np.ones(K, dtype=int)), k1=1)
+            alpha, anchor = 1.0 / np.sqrt(K), 0.0
+            for _ in range(K):
+                anchor += alpha
+            want = np.zeros(K, dtype=complex)
+            want[1 % K] = anchor
+            np.testing.assert_array_equal(full.view(np.int64), want.view(np.int64))
 
 
 class TestExtractTarget:
@@ -174,7 +172,7 @@ class TestFinalize:
         )
 
     def test_single_basis_trivial(self):
-        result = rc.finalize(np.ones(1, dtype=complex), 1)
+        result = rc.finalize(np.ones(1, dtype=complex), 1, None, [0], [0])
         assert result.fidelity_vs_target == 1.0
         np.testing.assert_allclose(result.phi_star, [1.0])
 
@@ -182,13 +180,13 @@ class TestFinalize:
         # enumerate single- and double-error recoveries of a 4-basis target
         target = [0, 1, 2, 3]
         state = np.ones(8, dtype=complex)
-        clean = rc.finalize(state, 4, recovered_bases=target, target_bases=target)
+        clean = rc.finalize(state, 4, None, recovered_bases=target, target_bases=target)
         singles, doubles = [], []
         for wrong in range(4, 8):
             for drop in target:
                 rec = sorted(set(target) - {drop} | {wrong})
                 singles.append(
-                    rc.finalize(state, 4, recovered_bases=rec, target_bases=target)
+                    rc.finalize(state, 4, None, recovered_bases=rec, target_bases=target)
                     .fidelity_vs_target
                 )
         for w1 in range(4, 8):
@@ -197,7 +195,7 @@ class TestFinalize:
                     continue
                 rec = [0, 1, w1, w2]
                 doubles.append(
-                    rc.finalize(state, 4, recovered_bases=rec, target_bases=target)
+                    rc.finalize(state, 4, None, recovered_bases=rec, target_bases=target)
                     .fidelity_vs_target
                 )
         assert clean.fidelity_vs_target == 1.0
@@ -205,7 +203,7 @@ class TestFinalize:
         assert max(doubles) < min(singles)
 
     def test_serialization(self, tmp_path):
-        result = rc.finalize(np.ones(2, dtype=complex), 2)
+        result = rc.finalize(np.ones(2, dtype=complex), 2, None, [0, 1], [0, 1])
         path = tmp_path / "rec.json"
         write_json(result.to_dict(), path)
         doc = json.loads(path.read_text())

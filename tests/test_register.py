@@ -23,6 +23,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="dim"):
             make_cfg(dim=0)
 
+    def test_rejects_horizon_below_dim(self):
+        # one time window per component
+        with pytest.raises(ConfigurationError, match=r"horizon must be >= dim \(8\), got 7"):
+            make_cfg(horizon=7, dim=8)
+        assert make_cfg(horizon=8, dim=8).horizon == 8
+
     def test_rejects_out_of_range_strength(self):
         with pytest.raises(ConfigurationError, match="residual_strength"):
             make_cfg(residual_strength=1.5)
@@ -54,7 +60,7 @@ class TestConfigValidation:
 
 class TestGenerateInput:
     def test_zero_residual_gives_zero_row(self):
-        gt = register.generate_input(make_cfg(horizon=4, residual_strength=0.0))
+        gt = register.generate_input(make_cfg(horizon=4, dim=4, residual_strength=0.0))
         assert np.all(gt.source_rows[1] == 0.0)
 
     def test_deterministic_for_fixed_seed(self):

@@ -20,7 +20,7 @@ def hann_spec(K, shift):
 def concentrate(k1, cluster_sizes, K):
     """Superpose clusters of the given sizes (target first) and concentrate."""
     assignment = np.repeat(np.arange(1, len(cluster_sizes) + 1), cluster_sizes)
-    part = BasisPartition(assignment, num_clusters=len(cluster_sizes))
+    part = BasisPartition(assignment)
     state = rc.build_superposition(part, k1)
     return rc.extract_target(state, k1, K)
 
@@ -186,18 +186,18 @@ class TestDft:
 class TestSuperposition:
     def test_coherent_anchor_accumulation(self):
         # K=4, K1=2, residual offsets {1, 2}
-        state = tr.superposition(4, k1=1, offsets_per_cluster=[np.zeros(2, int), np.array([1, 2])])
+        state = tr.superposition(4, k1=1, K1=2, residual_offsets=np.array([1, 2]))
         masses = np.abs(state) ** 2
         np.testing.assert_allclose(masses[[1, 2, 3]], [1.0, 0.25, 0.25], atol=1e-15)
         assert masses[0] == 0.0
 
-    def test_target_offsets_must_be_zero(self):
-        with pytest.raises(ValidationError):
-            tr.superposition(4, 1, [np.array([0, 1]), np.array([2])])
-
     def test_collision_rejected(self):
-        with pytest.raises(ValidationError):
-            tr.superposition(4, 1, [np.zeros(2, int), np.array([1, 1])])
+        with pytest.raises(ValidationError, match="collision"):
+            tr.superposition(4, 1, 2, np.array([1, 1]))
+
+    def test_zero_residual_offset_rejected(self):
+        with pytest.raises(ValidationError, match="nonzero"):
+            tr.superposition(4, 1, 2, np.array([1, 4]))
 
 
 class TestSpectralState:
@@ -250,16 +250,9 @@ class TestIdstftUnit:
         K, K1 = 8, 4
         state, _ = concentrate(2, [K1, K - K1], K)
         spec = tr.WindowSpec(0, K, unit_window=True)
-        v = tr.superposition(K, 2, [np.zeros(K1, int), tr.synthesize_offsets(K, K1)])
+        v = tr.superposition(K, 2, K1, tr.synthesize_offsets(K, K1))
         expected = tr.idstft(v, spec)
         np.testing.assert_allclose(state, expected, atol=1e-15)
-
-    def test_three_clusters_supported(self):
-        # residual offsets split across two non-target clusters
-        state, table = concentrate(2, [2, 1, 1], 4)
-        assert table.peak_probability() == pytest.approx((2 / 4) ** 2, abs=1e-15)
-        assert table.residual_mass == pytest.approx(2 / 16, abs=1e-15)
-        assert np.count_nonzero(state) > 0
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValidationError, match="divide"):
