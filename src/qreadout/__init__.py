@@ -24,7 +24,7 @@ from .register import (
     observe,
 )
 from .bnmf import FactorModel, FitOptions, FitResult, fit, select_order
-from .transforms import ProbTable, WindowSpec, cqt, dft, hann_window, icqt, idstft
+from .transforms import ProbTable, cqt, dft, icqt, idstft
 from .partition import BasisPartition, PartitionTensors, assign, contract, fit_partition, score, transform_bases
 from .recovery import ClusteredBases, RecoveryResult, build_superposition, extract_target, finalize, regroup
 from .snr import SnrReport, energy, snr_report, sweep_curve
@@ -47,9 +47,7 @@ __all__ = [
     "FitResult",
     "fit",
     "select_order",
-    "WindowSpec",
     "ProbTable",
-    "hann_window",
     "cqt",
     "icqt",
     "idstft",

@@ -201,7 +201,7 @@ class FitResult:
 
 
 def _as_observation(X) -> np.ndarray:
-    X = np.asarray(getattr(X, "values", X), dtype=float)
+    X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise ValidationError(f"observation must be a 2-D matrix, got ndim={X.ndim}")
     if np.any(X < 0) or not np.all(np.isfinite(X)):

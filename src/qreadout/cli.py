@@ -31,7 +31,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from . import bnmf, partition as part_mod, recovery, register, snr, transforms
+from . import bnmf, partition as part_mod, recovery, register, snr
 from .artifacts import write_csv, write_json
 from .errors import (
     ConfigurationError,
@@ -46,7 +46,7 @@ _DEFAULTS = {
     "register": {"horizon": 600, "dim": 512, "residual_strength": 0.3},
     "factorization": {"k_min": 1, "k_max": 4, "max_iters": 300, "tol": 1e-6},
     "partition": {"max_iters": 300, "tol": 1e-7},
-    "transform": {"k": 0, "unit_window": True},
+    "transform": {"k": 0},
     "recovery": {"k1": None},
     "sweep": {"r_sx": 1.0, "deltas": [1, 2, 3, 4, 5, 6, 7, 8, 9]},
 }
@@ -71,7 +71,7 @@ class RunConfig:
     factorization: bnmf.FitOptions = field(init=False)
     orders: tuple[int, int] = field(init=False)
     partition: bnmf.FitOptions = field(init=False)
-    transform: tuple[int | None, int, bool] = field(init=False)
+    transform: int = field(init=False)
     k1: int | None = field(init=False)
     sweep: tuple[float, list] = field(init=False)
 
@@ -189,13 +189,17 @@ def _factorization(sec: dict, seed: int) -> tuple[bnmf.FitOptions, tuple[int, in
     return opts, ((k_min, k_max) if k is None else (k, k))
 
 
-def _transform(sec: dict, seed: int) -> tuple[int | None, int, bool]:
-    shift, k, unit = sec.get("shift"), sec["k"], sec["unit_window"]
-    _check(shift is None or _is_int64(shift) and shift >= 1,
-           f"shift must be null or a 64-bit integer >= 1, got {shift!r}")
+def _transform(sec: dict, seed: int) -> int:
+    # the readout has one window, the unit window; documents may still name it
+    k, shift, unit = sec["k"], sec.get("shift"), sec.get("unit_window", True)
     _check(_is_int64(k), f"k must be a 64-bit integer, got {k!r}")
-    _check(isinstance(unit, bool), f"unit_window must be true or false, got {unit!r}")
-    return shift, k, unit
+    _check(unit is True,
+           "unit_window must be true: a Hann taper is zero at every multiple of "
+           f"K-1, so it zeroes a transformed basis at every K >= 2; got {unit!r}")
+    _check(shift is None,
+           "shift must be null: it cancels out of the unit window's constant-Q "
+           f"phase; got {shift!r}")
+    return k
 
 
 def _recovery(sec: dict, seed: int) -> int | None:
@@ -368,14 +372,6 @@ def _stage_fit(cfg: RunConfig, record: RunRecord) -> None:
         record.notes.append("factorization did not converge within max_iters")
 
 
-def _window_for(cfg: RunConfig, K: int) -> tuple[transforms.WindowSpec, int]:
-    shift, k, unit_window = cfg.transform
-    spec = transforms.WindowSpec(
-        shift=K if shift is None else shift, size=K, unit_window=unit_window
-    )
-    return spec, k
-
-
 def _stage_partition(cfg: RunConfig, record: RunRecord) -> None:
     model = _load(cfg, record, "model.json")
     K = model.K
@@ -386,8 +382,7 @@ def _stage_partition(cfg: RunConfig, record: RunRecord) -> None:
             f"K={K} below the cluster count; all bases assigned to the target cluster"
         )
     else:
-        w, k_freq = _window_for(cfg, K)
-        c_b = part_mod.transform_bases(model, w, k_freq)
+        c_b = part_mod.transform_bases(model, cfg.transform)
         S = np.abs(c_b @ model.activations)
         tensors = part_mod.fit_partition(
             S,
@@ -457,18 +452,19 @@ def _stage_recover(cfg: RunConfig, record: RunRecord) -> None:
             recovered_bases=(),
         )
     else:
-        w, k_freq = _window_for(cfg, K)
-        c_b = part_mod.transform_bases(model, w, k_freq)
-        clustered = recovery.regroup(c_b, part, w, k_freq)
+        # k1 is checked (extract_target refuses one not dividing K) before any write
+        k1 = cfg.k1 or recovery.choose_carrier(K, sizes[0])
+        state = recovery.build_superposition(part, k1)
+        out_state, table = recovery.extract_target(state, k1, K)
+
+        c_b = part_mod.transform_bases(model, cfg.transform)
+        clustered = recovery.regroup(c_b, part, cfg.transform)
         composite = [
             [[float(v.real), float(v.imag)] for v in row] for row in clustered.composite
         ]
         doc = {"cluster_sizes": clustered.sizes, "composite": composite}
         _save(cfg, record, "clustered_bases.json", doc)
 
-        k1 = cfg.k1 or recovery.choose_carrier(K, sizes[0])
-        state = recovery.build_superposition(part, k1)
-        out_state, table = recovery.extract_target(state, k1, K)
         result = recovery.finalize(
             out_state,
             sizes[0],

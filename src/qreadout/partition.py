@@ -18,7 +18,7 @@ from scipy import special
 
 from .errors import DimensionError, StateError, ValidationError
 from .register import NUM_SOURCES
-from .transforms import WindowSpec, cqt
+from .transforms import cqt
 
 EPS = 1e-12
 
@@ -88,7 +88,7 @@ class BasisPartition:
         )
 
 
-def transform_bases(model, w: WindowSpec, k: int = 0) -> np.ndarray:
+def transform_bases(model, k: int = 0) -> np.ndarray:
     """Constant-Q-transform the learned bases.
 
     Each row of the basis matrix is treated as a register of K amplitudes
@@ -97,12 +97,7 @@ def transform_bases(model, w: WindowSpec, k: int = 0) -> np.ndarray:
     """
     if not getattr(model, "iterations", 0):
         raise StateError("transform_bases requires a fitted model")
-    bases = np.asarray(model.bases, dtype=float)
-    if w.size != bases.shape[1]:
-        raise DimensionError(
-            f"window size {w.size} does not match basis count {bases.shape[1]}"
-        )
-    return cqt(bases, w, k)
+    return cqt(np.asarray(model.bases, dtype=float), k)
 
 
 def contract(t: PartitionTensors) -> np.ndarray:

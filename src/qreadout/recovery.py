@@ -2,9 +2,9 @@
 
 Chains the inverse constant-Q transform over the partitioned bases, builds
 the anchored register superposition for the two clusters, applies the
-unit-window inverse short-time transform to concentrate the target
-cluster's mass on one measurable position, and finishes with a DFT that
-leaves the uniform target state over the recovered bases.
+inverse short-time transform to concentrate the target cluster's mass on
+one measurable position, and finishes with a DFT that leaves the uniform
+target state over the recovered bases.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .partition import BasisPartition
 from .register import NUM_SOURCES
 from .transforms import (
     ProbTable,
-    WindowSpec,
     as_state,
     dft,
     icqt,
@@ -70,12 +69,7 @@ class RecoveryResult:
         }
 
 
-def regroup(
-    c_b: np.ndarray,
-    part: BasisPartition,
-    w: WindowSpec,
-    k: int = 0,
-) -> ClusteredBases:
+def regroup(c_b: np.ndarray, part: BasisPartition, k: int = 0) -> ClusteredBases:
     """Invert the constant-Q transform and split bases by cluster."""
     c_b = np.asarray(c_b, dtype=complex)
     if c_b.ndim != 2:
@@ -85,7 +79,7 @@ def regroup(
             f"partition covers {part.assignment.shape[0]} bases but the "
             f"transformed matrix has {c_b.shape[1]} columns"
         )
-    theta = icqt(c_b, w, k)
+    theta = icqt(c_b, k)
     groups = tuple(theta[:, part.members(m)] for m in range(1, NUM_SOURCES + 1))
     return ClusteredBases(groups=groups, composite=theta)
 
@@ -117,8 +111,7 @@ def extract_target(state, k1: int, K: int) -> tuple[np.ndarray, ProbTable]:
             f"k1={k1} must divide the register size K={K} for the "
             "measurement position K/k1 to sit on the register grid"
         )
-    spec = WindowSpec(shift=0, size=K, unit_window=True)
-    out = idstft(state, spec)
+    out = idstft(state)
 
     anchor = k1 % K
     peak = (K // k1) % K

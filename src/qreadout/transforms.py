@@ -1,13 +1,14 @@
-"""Windowed spectral transforms on complex amplitude arrays.
+"""Spectral transforms on complex amplitude arrays.
 
 A register state is a complex 1-D ``np.ndarray`` of K amplitudes.  The
 constant-Q transform and its inverse, used around the basis-partitioning
-step, are one diagonal phase/window modulation: O(K) per register, applied
-to every register of a stack along the last axis.  The inverse windowed
-short-time transform (applied by :mod:`qreadout.recovery` with a unit
-window for the concentration step) and the unitary DFT are dense O(K^2)
-matrix applications to one register; no fast path is needed at the
-scales this package targets (K <= 1024).
+step, are one diagonal phase modulation: O(K) per register, applied to
+every register of a stack along the last axis.  The inverse short-time
+transform (applied by :mod:`qreadout.recovery` for the concentration
+step) and the DFT are dense, unitary O(K^2) matrix applications to one
+register; no fast path is needed at the scales this package targets
+(K <= 1024).  Every transform uses the unit window, so every one of them
+is unitary up to the constant-Q transform's 1/sqrt(K) scale.
 """
 
 from __future__ import annotations
@@ -17,26 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, ValidationError
-
-
-@dataclass(frozen=True)
-class WindowSpec:
-    """Window parameters: shift h, register size K, taper on/off."""
-
-    shift: int
-    size: int
-    unit_window: bool = False
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise ValidationError(f"window size must be >= 1, got {self.size}")
-
-    def values(self, offsets: np.ndarray) -> np.ndarray:
-        """Window weight at each integer offset: 1 everywhere when unit, or
-        at size 1, since a one-sample window has no taper."""
-        if self.unit_window or self.size == 1:
-            return np.ones_like(np.asarray(offsets, dtype=float))
-        return hann_window(np.asarray(offsets, dtype=float), self.size)
 
 
 @dataclass(frozen=True)
@@ -67,13 +48,6 @@ class ProbTable:
         }
 
 
-def hann_window(x, K: int):
-    """Cosine taper 0.5 * (1 - cos(2 pi x / (K - 1))) at integer offset x."""
-    if K < 2:
-        raise ValidationError(f"window requires K >= 2, got {K}")
-    return 0.5 * (1.0 - np.cos(2.0 * np.pi * np.asarray(x, dtype=float) / (K - 1)))
-
-
 def as_state(state, size: int | None = None, *, stacked: bool = False) -> np.ndarray:
     """``state`` as a complex register: a 1-D array, or with ``stacked``
     an array of any rank >= 1 holding one register per last-axis row.
@@ -91,62 +65,46 @@ def as_state(state, size: int | None = None, *, stacked: bool = False) -> np.nda
     return amps
 
 
-def _modulate(state, w: WindowSpec, k: int, sign: int) -> np.ndarray:
+def _modulate(state, k: int, sign: int) -> np.ndarray:
     """Scale amplitude j of each register along the last axis by
-    (1/sqrt(K)) * f_W(j - h) * exp(sign * 2 pi i j Q / h), Q = h k / K."""
-    amps = as_state(state, w.size, stacked=True)
-    K = w.size
+    (1/sqrt(K)) * exp(sign * 2 pi i j k / K)."""
+    amps = as_state(state, stacked=True)
+    K = amps.shape[-1]
     j = np.arange(K)
-    q = w.shift * k / K
-    coeff = (
-        w.values(j - w.shift)
-        * np.exp(sign * 2j * np.pi * j * q / w.shift)
-        / np.sqrt(K)
-    )
-    return coeff * amps
+    return np.exp(sign * 2j * np.pi * j * k / K) / np.sqrt(K) * amps
 
 
-def cqt(state, w: WindowSpec, k: int) -> np.ndarray:
+def cqt(state, k: int) -> np.ndarray:
     """Constant-Q modulation at frequency index k.
 
     The output amplitude at position j is the input amplitude scaled by
-    (1/sqrt(K)) * f_W(j - h) * exp(2 pi i j Q / h) with Q = h k / K, so the
-    transform acts diagonally on the register.  ``state`` may be a stack of
-    registers; each last-axis row is modulated.
+    (1/sqrt(K)) * exp(2 pi i j k / K), where K is the register size (the
+    last axis), so the transform acts diagonally on the register.
+    ``state`` may be a stack of registers; each last-axis row is modulated.
     """
-    if w.shift < 1:
-        raise ValidationError("constant-Q transform requires shift h >= 1")
-    return _modulate(state, w, k, 1)
+    return _modulate(state, k, 1)
 
 
-def icqt(state, w: WindowSpec, k: int) -> np.ndarray:
-    """Inverse constant-Q modulation: conjugated phase, same window."""
-    if w.shift < 1:
-        raise ValidationError("inverse constant-Q transform requires shift h >= 1")
-    return _modulate(state, w, k, -1)
+def icqt(state, k: int) -> np.ndarray:
+    """Inverse constant-Q modulation: the conjugated phase."""
+    return _modulate(state, k, -1)
 
 
-def idstft_matrix(w: WindowSpec) -> np.ndarray:
-    """Dense inverse short-time transform matrix M[j, k]."""
-    if not 0 <= w.shift <= w.size - 1:
-        raise ValidationError(
-            f"window shift must satisfy 0 <= h <= K-1, got h={w.shift}, K={w.size}"
-        )
-    K = w.size
+def idstft_matrix(K: int) -> np.ndarray:
+    """Dense inverse short-time transform matrix M[j, k] = exp(-2 pi i j k / K) / sqrt(K)."""
     j = np.arange(K)[:, None]
     k = np.arange(K)[None, :]
-    window = w.values(np.arange(K) - w.shift)[:, None]
-    return window * np.exp(-2j * np.pi * j * k / K) / np.sqrt(K)
+    return np.exp(-2j * np.pi * j * k / K) / np.sqrt(K)
 
 
-def idstft(state, w: WindowSpec) -> np.ndarray:
-    """Inverse windowed short-time transform (matrix application).
+def idstft(state) -> np.ndarray:
+    """Inverse short-time transform of one register (matrix application).
 
-    With a unit window this coincides row-for-row with the inverse DFT
-    matrix and is unitary; a tapered window breaks unitarity by design.
+    The window is the unit window, so the transform is the unitary inverse
+    DFT of the register's length.
     """
-    amps = as_state(state, w.size)
-    return idstft_matrix(w) @ amps
+    amps = as_state(state)
+    return idstft_matrix(amps.shape[0]) @ amps
 
 
 def dft_matrix(size: int) -> np.ndarray:

@@ -173,6 +173,9 @@ BAD_ENTRIES = [
     ("transform", "shift", 2**63),
     ("transform", "unit_window", 1),
     ("transform", "unit_window", "yes"),
+    ("transform", "unit_window", False),
+    ("transform", "unit_window", None),
+    ("transform", "shift", 1),
     ("transform", None, [1]),
     ("recovery", None, "x"),
     ("sweep", None, 3),
@@ -558,18 +561,68 @@ class TestMain:
         assert cli.main(["fit", "--config", str(write_config(tmp_path, doc))]) == 0
         assert (tmp_path / "out" / "model.json").exists()
 
-    def test_tapered_window_with_one_basis(self, tmp_path, capsys):
-        # a clean register selects K* = 1; a one-sample window has no taper
+    @pytest.mark.parametrize("command", ["pipeline", "validate"])
+    @pytest.mark.parametrize(
+        "key,value,reason",
+        [("unit_window", False, "unit_window must be true"), ("shift", 2, "shift must be null")],
+    )
+    def test_tapered_or_shifted_window_exits_2(
+        self, tmp_path, capsys, command, key, value, reason
+    ):
+        doc = config_doc(tmp_path, transform={"k": 0, key: value})
+        path = str(write_config(tmp_path, doc))
+        if command == "validate":
+            assert cli.main(["validate", path]) == 2
+            assert reason in capsys.readouterr().out
+        else:
+            assert cli.main(["pipeline", "--config", path]) == 2
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "ValidationError"
+            assert reason in payload["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "factorization,seed",
+        [(None, 0), ({"k": 3}, 0), ({"k": 3}, 1)],
+        ids=["tapered", "tapered-k3-seed0", "tapered-k3-seed1"],
+    )
+    def test_tapered_configs_write_nothing(self, tmp_path, capsys, factorization, seed):
+        # a taper that zeroed every basis at K* = 2 ran to exit 0, and at
+        # K = 3 one that emptied the target cluster ran to exit 3
         doc = {
-            "output_dir": str(tmp_path / "out"),
-            "register": {"horizon": 64, "dim": 16, "residual_strength": 0.0},
-            "transform": {"k": 0, "unit_window": False},
+            "register": {"horizon": 64, "dim": 16},
+            "transform": {"k": 3, "shift": 1, "unit_window": False},
         }
-        path = write_config(tmp_path, doc)
-        assert cli.main(["pipeline", "--config", str(path)]) == 0
-        model = json.loads((tmp_path / "out" / "model.json").read_text())
-        assert model["K"] == 1
-        assert (tmp_path / "out" / "recovery.json").exists()
+        if factorization:
+            doc["factorization"] = factorization
+        path = str(write_config(tmp_path, doc))
+        out = tmp_path / "out"
+        for stage in ("pipeline", "simulate", "fit", "partition", "recover", "verify"):
+            argv = [stage, "--config", path, "--out", str(out), "--seed", str(seed)]
+            assert cli.main(argv) == 2
+            payload = json.loads(capsys.readouterr().err.strip())
+            assert payload["error"] == "ValidationError"
+            assert "unit_window must be true" in payload["message"]
+        assert not out.exists()
+
+    def test_unit_window_document_runs_unchanged(self, tmp_path):
+        plain = config_doc(tmp_path, transform={"k": 2})
+        named = config_doc(tmp_path, transform={"k": 2, "unit_window": True, "shift": None})
+        named["output_dir"] = str(tmp_path / "named")
+        run_stage(tmp_path, "pipeline", doc=plain)
+        run_stage(tmp_path, "pipeline", doc=named)
+        assert artifact_bytes(tmp_path / "out") == artifact_bytes(tmp_path / "named")
+
+    def test_recover_checks_k1_before_writing(self, tmp_path, capsys):
+        doc = {"register": {"horizon": 64, "dim": 16}, "recovery": {"k1": 3}}
+        path = str(write_config(tmp_path, doc))
+        out = tmp_path / "out"
+        for stage in ("simulate", "fit", "partition"):
+            assert cli.main([stage, "--config", path, "--out", str(out)]) == 0
+        assert json.loads((out / "model.json").read_text())["K"] == 2
+        assert cli.main(["recover", "--config", path, "--out", str(out)]) == 2
+        assert "must divide" in json.loads(capsys.readouterr().err.strip())["message"]
+        assert not (out / "clustered_bases.json").exists()
 
     def test_pipeline_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, config_doc(tmp_path))
@@ -620,7 +673,8 @@ class TestMain:
 
 # documents built from the schema's own names, holding arbitrary JSON values
 SECTION_KEYS = sorted(
-    {key for sec in cli._DEFAULTS.values() for key in sec} | {"seed", "k", "shift"}
+    {key for sec in cli._DEFAULTS.values() for key in sec}
+    | {"seed", "k", "shift", "unit_window"}
 )
 JSON_SCALARS = st.one_of(
     st.none(),

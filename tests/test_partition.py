@@ -4,7 +4,6 @@ import pytest
 from qreadout import bnmf, partition as pm, register
 from qreadout.artifacts import write_json
 from qreadout.errors import DimensionError, StateError, ValidationError
-from qreadout.transforms import WindowSpec
 
 
 def random_tensors(seed, M=2, K=3, T=4):
@@ -218,8 +217,7 @@ class TestAssign:
             model = bnmf.fit(
                 obs.values, 2, bnmf.FitOptions(max_iters=200, tol=1e-6, seed=seed)
             )
-            w = WindowSpec(shift=model.K, size=model.K, unit_window=True)
-            c_b = pm.transform_bases(model, w, 0)
+            c_b = pm.transform_bases(model, 0)
             S = np.abs(c_b @ model.activations)
             tensors = pm.fit_partition(
                 S, 2, seed=seed, init_bases=np.abs(c_b),
@@ -242,21 +240,18 @@ class TestTransformBases:
         from dataclasses import replace
 
         model = replace(self.fitted(), bases=np.zeros((2, 2)))
-        w = WindowSpec(shift=2, size=2, unit_window=True)
-        np.testing.assert_allclose(pm.transform_bases(model, w, 0), 0.0)
+        np.testing.assert_allclose(pm.transform_bases(model, 0), 0.0)
 
     def test_unit_zero_frequency_scaling(self):
         model = self.fitted()
-        w = WindowSpec(shift=model.K, size=model.K, unit_window=True)
-        c_b = pm.transform_bases(model, w, 0)
+        c_b = pm.transform_bases(model, 0)
         np.testing.assert_allclose(c_b, model.bases / np.sqrt(model.K), atol=1e-14)
 
     def test_associativity_with_activations(self):
         model = self.fitted(seed=3)
         K = model.K
-        w = WindowSpec(shift=K, size=K, unit_window=True)
         k_freq = 1
-        c_b = pm.transform_bases(model, w, k_freq)
+        c_b = pm.transform_bases(model, k_freq)
         left = c_b @ model.activations
         # independent route: modulate the product's basis axis directly
         j = np.arange(K)
@@ -266,9 +261,8 @@ class TestTransformBases:
 
     def test_unfitted_model_rejected(self):
         m = bnmf.init_model(np.ones((2, 4)), 2, seed=0)
-        w = WindowSpec(shift=2, size=2, unit_window=True)
         with pytest.raises(StateError):
-            pm.transform_bases(m, w, 0)
+            pm.transform_bases(m, 0)
 
 
 class TestSerialization:

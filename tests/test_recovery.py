@@ -8,7 +8,7 @@ from scipy import linalg
 from qreadout import bnmf, partition as pm, recovery as rc, register
 from qreadout.artifacts import write_json
 from qreadout.errors import DimensionError, ValidationError
-from qreadout.transforms import WindowSpec, cqt, icqt
+from qreadout.transforms import cqt, icqt
 
 
 def fitted_model(seed=0, K=2):
@@ -21,9 +21,8 @@ class TestRegroup:
     def test_single_cluster_groups(self):
         model = fitted_model()
         part = pm.BasisPartition(assignment=np.array([1, 1]))
-        w = WindowSpec(shift=model.K, size=model.K, unit_window=True)
-        c_b = pm.transform_bases(model, w, 0)
-        clustered = rc.regroup(c_b, part, w, 0)
+        c_b = pm.transform_bases(model, 0)
+        clustered = rc.regroup(c_b, part, 0)
         assert clustered.sizes == [2, 0]
         np.testing.assert_allclose(clustered.groups[0], clustered.composite)
 
@@ -31,9 +30,8 @@ class TestRegroup:
         model = fitted_model(seed=1)
         K = model.K
         part = pm.BasisPartition(assignment=np.array([1, 2]))
-        w = WindowSpec(shift=K, size=K, unit_window=True)
-        c_b = pm.transform_bases(model, w, 0)
-        clustered = rc.regroup(c_b, part, w, 0)
+        c_b = pm.transform_bases(model, 0)
+        clustered = rc.regroup(c_b, part, 0)
         np.testing.assert_allclose(
             clustered.composite, model.bases / K, atol=1e-14
         )
@@ -45,9 +43,8 @@ class TestRegroup:
         part = pm.BasisPartition(
             assignment=np.array([1 if k == target_idx else 2 for k in range(model.K)])
         )
-        w = WindowSpec(shift=model.K, size=model.K, unit_window=True)
-        c_b = pm.transform_bases(model, w, 0)
-        clustered = rc.regroup(c_b, part, w, 0)
+        c_b = pm.transform_bases(model, 0)
+        clustered = rc.regroup(c_b, part, 0)
         got = np.abs(clustered.groups[0])
         want = model.bases[:, [target_idx]]
         angle = linalg.subspace_angles(got, want)[0]
@@ -59,25 +56,21 @@ class TestRegroup:
         # row, compared bit for bit (signed zeros included)
         rng = np.random.default_rng(K)
         part = pm.BasisPartition(assignment=rng.integers(1, 3, size=K))
-        for unit in (True, False):
-            for shift in range(1, K + 3):
-                w = WindowSpec(shift=shift, size=K, unit_window=unit)
-                for k in range(-3, 6):
-                    model = SimpleNamespace(bases=rng.gamma(1.0, size=(3, K)), iterations=1)
-                    c_b = pm.transform_bases(model, w, k)
-                    ref = np.vstack([cqt(row, w, k) for row in model.bases])
-                    np.testing.assert_array_equal(c_b.view(np.int64), ref.view(np.int64))
-                    theta = rc.regroup(c_b, part, w, k).composite
-                    ref = np.vstack([icqt(row, w, k) for row in c_b])
-                    np.testing.assert_array_equal(theta.view(np.int64), ref.view(np.int64))
+        for k in range(-3, 6):
+            model = SimpleNamespace(bases=rng.gamma(1.0, size=(3, K)), iterations=1)
+            c_b = pm.transform_bases(model, k)
+            ref = np.vstack([cqt(row, k) for row in model.bases])
+            np.testing.assert_array_equal(c_b.view(np.int64), ref.view(np.int64))
+            theta = rc.regroup(c_b, part, k).composite
+            ref = np.vstack([icqt(row, k) for row in c_b])
+            np.testing.assert_array_equal(theta.view(np.int64), ref.view(np.int64))
 
     def test_partition_size_mismatch(self):
         model = fitted_model()
         part = pm.BasisPartition(assignment=np.array([1, 2, 1]))
-        w = WindowSpec(shift=model.K, size=model.K, unit_window=True)
-        c_b = pm.transform_bases(model, w, 0)
+        c_b = pm.transform_bases(model, 0)
         with pytest.raises(DimensionError):
-            rc.regroup(c_b, part, w, 0)
+            rc.regroup(c_b, part, 0)
 
 
 class TestBuildSuperposition:

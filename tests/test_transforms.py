@@ -9,14 +9,6 @@ from qreadout.errors import DimensionError, ValidationError
 from qreadout.partition import BasisPartition
 
 
-def unit_spec(K, shift=None):
-    return tr.WindowSpec(shift=K if shift is None else shift, size=K, unit_window=True)
-
-
-def hann_spec(K, shift):
-    return tr.WindowSpec(shift=shift, size=K, unit_window=False)
-
-
 def concentrate(k1, cluster_sizes, K):
     """Superpose clusters of the given sizes (target first) and concentrate."""
     assignment = np.repeat(np.arange(1, len(cluster_sizes) + 1), cluster_sizes)
@@ -25,104 +17,55 @@ def concentrate(k1, cluster_sizes, K):
     return rc.extract_target(state, k1, K)
 
 
-class TestHannWindow:
-    def test_zero_at_origin(self):
-        assert tr.hann_window(0, 8) == 0.0
-
-    def test_peak_at_midpoint_odd(self):
-        K = 9
-        assert tr.hann_window((K - 1) / 2, K) == pytest.approx(1.0, abs=1e-15)
-
-    def test_quarter_point_value(self):
-        K = 9
-        assert tr.hann_window((K - 1) / 4, K) == pytest.approx(0.5, abs=1e-15)
-
-    def test_symmetry(self):
-        K = 33
-        rng = np.random.default_rng(0)
-        for x in rng.uniform(0, K - 1, 200):
-            assert tr.hann_window(x, K) == pytest.approx(
-                tr.hann_window(K - 1 - x, K), abs=1e-12
-            )
-
-    def test_rejects_small_window(self):
-        with pytest.raises(ValidationError):
-            tr.hann_window(0, 1)
-
-    def test_one_sample_window_has_no_taper(self):
-        w = tr.WindowSpec(shift=1, size=1, unit_window=False)
-        np.testing.assert_array_equal(w.values(np.array([-1, 0, 3])), [1.0, 1.0, 1.0])
-
-
 class TestCqt:
     def test_unit_window_zero_frequency_is_scaling(self):
         K = 8
         rng = np.random.default_rng(1)
         v = rng.normal(size=K) + 1j * rng.normal(size=K)
-        out = tr.cqt(v, unit_spec(K), k=0)
+        out = tr.cqt(v, k=0)
         np.testing.assert_allclose(out, v / np.sqrt(K), atol=1e-15)
 
     def test_basis_state_phase_by_hand(self):
-        # K=4, h=4, k=1 on e_1: coefficient (1/2) * exp(2 pi i /4) = i/2
+        # K=4, k=1 on e_1: coefficient (1/2) * exp(2 pi i /4) = i/2
         v = np.zeros(4, dtype=complex)
         v[1] = 1.0
-        out = tr.cqt(v, unit_spec(4), k=1)
+        out = tr.cqt(v, k=1)
         assert out[1] == pytest.approx(0.5j, abs=1e-15)
-
-    def test_windowed_zero_at_window_origin(self):
-        K = 4
-        v = np.ones(K, dtype=complex)
-        out = tr.cqt(v, hann_spec(K, shift=1), k=0)
-        # f_W(j - h) vanishes at j = h
-        assert out[1] == pytest.approx(0.0, abs=1e-15)
-
-    def test_zero_shift_rejected(self):
-        with pytest.raises(ValidationError):
-            tr.cqt(np.ones(4, dtype=complex), unit_spec(4, shift=0), 0)
 
     def test_stack_modulated_along_last_axis(self):
         rng = np.random.default_rng(5)
         stack = rng.normal(size=(3, 2, 6)) + 1j * rng.normal(size=(3, 2, 6))
-        spec = hann_spec(6, shift=2)
-        out = tr.cqt(stack, spec, k=1)
+        out = tr.cqt(stack, k=1)
         for idx in np.ndindex(3, 2):
-            np.testing.assert_array_equal(out[idx], tr.cqt(stack[idx], spec, k=1))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            tr.cqt(np.ones((2, 5)), unit_spec(4), 0)
-        with pytest.raises(DimensionError):
-            tr.icqt(np.ones(5), unit_spec(4), 0)
+            np.testing.assert_array_equal(out[idx], tr.cqt(stack[idx], k=1))
 
 
 class TestIcqt:
     def test_phase_is_conjugate_of_cqt(self):
         K = 8
         v = np.ones(K, dtype=complex)
-        spec = unit_spec(K)
-        fwd = tr.cqt(v, spec, k=3)
-        inv = tr.icqt(v, spec, k=3)
+        fwd = tr.cqt(v, k=3)
+        inv = tr.icqt(v, k=3)
         np.testing.assert_allclose(inv, np.conj(fwd), atol=1e-15)
 
     def test_round_trip_at_zero_frequency(self):
         K = 16
         rng = np.random.default_rng(2)
         v = rng.normal(size=K) + 1j * rng.normal(size=K)
-        spec = unit_spec(K)
-        back = tr.icqt(tr.cqt(v, spec, 0), spec, 0)
+        back = tr.icqt(tr.cqt(v, 0), 0)
         np.testing.assert_allclose(back, v / K, atol=1e-14)
 
     def test_hand_value(self):
         v = np.zeros(4, dtype=complex)
         v[1] = 1.0
-        out = tr.icqt(v, unit_spec(4), k=1)
+        out = tr.icqt(v, k=1)
         assert out[1] == pytest.approx(-0.5j, abs=1e-15)
 
 
 class TestIdstft:
     def test_unit_window_matches_inverse_dft_matrix(self):
         K = 8
-        m = tr.idstft_matrix(tr.WindowSpec(shift=0, size=K, unit_window=True))
+        m = tr.idstft_matrix(K)
         j, k = np.meshgrid(np.arange(K), np.arange(K), indexing="ij")
         expected = np.exp(-2j * np.pi * j * k / K) / np.sqrt(K)
         np.testing.assert_allclose(m, expected, atol=1e-15)
@@ -131,23 +74,12 @@ class TestIdstft:
         K = 8
         v = np.zeros(K, dtype=complex)
         v[0] = 1.0
-        out = tr.idstft(v, tr.WindowSpec(0, K, unit_window=True))
+        out = tr.idstft(v)
         np.testing.assert_allclose(np.abs(out), 1 / np.sqrt(K), atol=1e-15)
-
-    def test_hann_window_zeroes_first_row(self):
-        K = 8
-        rng = np.random.default_rng(3)
-        v = rng.normal(size=K) + 0j
-        out = tr.idstft(v, tr.WindowSpec(0, K, unit_window=False))
-        assert out[0] == pytest.approx(0.0, abs=1e-14)
-
-    def test_out_of_range_shift_rejected(self):
-        with pytest.raises(ValidationError):
-            tr.idstft(np.ones(4, dtype=complex), tr.WindowSpec(shift=4, size=4, unit_window=True))
 
     def test_unitarity_unit_window(self):
         for K in (2, 3, 8, 33, 64):
-            m = tr.idstft_matrix(tr.WindowSpec(0, K, unit_window=True))
+            m = tr.idstft_matrix(K)
             np.testing.assert_allclose(m.conj().T @ m, np.eye(K), atol=1e-12)
 
 
@@ -249,9 +181,8 @@ class TestIdstftUnit:
     def test_transformed_state_is_literal(self):
         K, K1 = 8, 4
         state, _ = concentrate(2, [K1, K - K1], K)
-        spec = tr.WindowSpec(0, K, unit_window=True)
         v = tr.superposition(K, 2, K1, tr.synthesize_offsets(K, K1))
-        expected = tr.idstft(v, spec)
+        expected = tr.idstft(v)
         np.testing.assert_allclose(state, expected, atol=1e-15)
 
     def test_divisibility_enforced(self):
