@@ -29,6 +29,22 @@ float array, which stands for its items as Python floats, one cell each.
 A channel row of 20000 steps holds about 53 distinct values, so when at
 most half an array's values are distinct, each distinct value is
 formatted once through the same lookup as above.
+
+Both writers write each artifact to a new file: a file already at the
+path is removed first, never truncated.  Every stage rewrites
+``run.json`` in the same directory, and on ext4 (default
+``auto_da_alloc``) truncating a just-written file makes the kernel flush
+it, so each rewrite waited for that disk write: 46 ms median, the four
+rewrites 183 ms of a 231 ms five-stage run at 20000x3000 (2-CPU VM).
+Removing the file starts no flush.  So a hard link to, or an open
+handle on, the old file keeps the old bytes; a symlink at the path is
+replaced by a plain file, not written through; and no durability is
+promised, since every artifact is reproducible from its config and
+seed.  Two other fixes were measured and rejected: writing a temporary
+file and ``os.replace``-ing it over the path waits as long (34 ms
+against 37 ms median a rewrite, 4 rewrites 30 ms apart with 1 MB
+written between them), and rewriting in place with ``r+`` then
+``truncate()`` is fast but can leave stale bytes behind.
 """
 
 from __future__ import annotations
@@ -44,15 +60,21 @@ _SLICE = 1024  # numbers per C-encoder call
 
 def write_json(doc, path: str | Path) -> None:
     """Write ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` does."""
-    with open(path, "w") as fh:
+    with _create(path) as fh:
         fh.writelines(_encode(doc, 0))
 
 
 def write_csv(header, rows, path: str | Path) -> None:
     """Write the ``header`` names, then each row of numbers and float arrays, as CSV."""
-    with open(path, "w", newline="") as fh:
+    with _create(path, newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(map(_csv_line, rows))
+
+
+def _create(path: str | Path, newline: str | None = None):
+    """A new text file at ``path``, open for writing; a file already there is removed first."""
+    Path(path).unlink(missing_ok=True)
+    return open(path, "w", newline=newline)
 
 
 def _csv_line(row) -> str:

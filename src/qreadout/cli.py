@@ -13,7 +13,9 @@ full round-trip float formatting and contain no timestamps, so identical
 config+seed reruns are byte-identical; wall-clock data lives only in
 ``run.json``.
 
-Exit codes: 0 success, 2 validation failure, 3 numerical failure.
+Exit codes: 0 success, 2 validation failure (a bad config, a missing or
+malformed artifact, an output directory or artifact path that cannot be
+created or written), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -595,7 +597,9 @@ def main(argv=None) -> int:
         record = run(cfg)
         print(json.dumps({"stage": record.stage, "output_dir": str(cfg.output_dir)}))
         return 0
-    except (ValidationError, ConfigurationError, DimensionError) as exc:
+    # an OSError is an output directory or artifact path the run cannot
+    # create, write or read, e.g. --out naming a file
+    except (ValidationError, ConfigurationError, DimensionError, OSError) as exc:
         return _fail(exc, 2)
     except (NumericalDomainError, StateError, QReadoutError) as exc:
         return _fail(exc, 3)

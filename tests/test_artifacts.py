@@ -1,5 +1,7 @@
 import csv
+import io
 import json
+import os
 import random
 from pathlib import Path
 
@@ -230,3 +232,56 @@ def test_pipeline_artifacts_are_indented_sorted_json(tmp_path):
     for path in paths:
         text = path.read_text()
         assert text == json.dumps(json.loads(text), indent=2, sort_keys=True), path.name
+
+
+def csv_text(header, rows) -> str:
+    buffer = io.StringIO(newline="")
+    writer = csv.writer(buffer)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+# each writer with two documents: (write it, its expected text)
+REWRITES = {
+    "json": [
+        (lambda path: write_json({"a": [1.5, 2.5]}, path),
+         json.dumps({"a": [1.5, 2.5]}, indent=2, sort_keys=True)),
+        (lambda path: write_json({"b": np.arange(1.0)}, path),
+         json.dumps({"b": [0.0]}, indent=2, sort_keys=True)),
+    ],
+    "csv": [
+        (lambda path: write_csv(["i", "x"], [[0, 1.5], [1, 2.5]], path),
+         csv_text(["i", "x"], [[0, 1.5], [1, 2.5]])),
+        (lambda path: write_csv(["m", "t0"], [[0, np.array([0.25])]], path),
+         csv_text(["m", "t0"], [[0, 0.25]])),
+    ],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(REWRITES))
+def test_rewrite_goes_to_a_new_file(tmp_path, kind):
+    # the second text is the shorter, so a rewrite in place shows through
+    # the old names, and one left untruncated through stale trailing bytes
+    (write_old, old), (write_new, new) = REWRITES[kind]
+    path = tmp_path / f"artifact.{kind}"
+    write_old(path)
+    link = tmp_path / "link"
+    os.link(path, link)
+    with open(path, newline="") as handle:
+        write_new(path)
+        assert handle.read() == old
+    for name, text in ((link, old), (path, new)):
+        with open(name, newline="") as fh:
+            assert fh.read() == text
+
+
+def test_symlink_at_the_path_is_replaced(tmp_path):
+    target = tmp_path / "target.json"
+    target.write_text("kept")
+    path = tmp_path / "value.json"
+    path.symlink_to(target)
+    write_json([1], path)
+    assert not path.is_symlink()
+    assert path.read_text() == json.dumps([1], indent=2)
+    assert target.read_text() == "kept"

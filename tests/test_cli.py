@@ -149,6 +149,24 @@ class TestDeterminism:
         for name in first:
             assert first[name] == second[name], f"{name} differs between reruns"
 
+    def test_staged_rerun_into_used_directory(self, tmp_path):
+        # seed 1's stages over seed 0's files write what a fresh seed-1 run
+        # writes: no artifact keeps stale or partly rewritten bytes
+        path = str(write_config(tmp_path, config_doc(tmp_path)))
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+
+        def staged(seed):
+            for stage in ("simulate", "fit", "partition", "recover", "verify"):
+                argv = [stage, "--config", path, "--seed", seed, "--out", str(used)]
+                assert cli.main(argv) == 0
+            return artifact_bytes(used)
+
+        seed_0, rerun = staged("0"), staged("1")
+        argv = ["pipeline", "--config", path, "--seed", "1", "--out", str(fresh)]
+        assert cli.main(argv) == 0
+        assert seed_0.keys() == rerun.keys() and seed_0 != rerun
+        assert rerun == artifact_bytes(fresh)
+
 
 # (section, key, value): one malformed entry per case; None as the key
 # replaces the whole section
@@ -669,6 +687,23 @@ class TestMain:
         staged(tmp_path / "second")
         assert artifact_bytes(tmp_path / "first") == artifact_bytes(tmp_path / "second")
         assert cli._parser() is cli._parser()
+
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, config_doc(tmp_path))
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert cli.main(["pipeline", "--config", str(path), "--out", str(out)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "FileExistsError"
+        assert out.read_text() == "kept"
+
+    def test_artifact_path_that_is_a_directory_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, config_doc(tmp_path))
+        (tmp_path / "out" / "model.json").mkdir(parents=True)
+        assert cli.main(["pipeline", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "IsADirectoryError"
+        assert "model.json" in payload["message"]
 
 
 # documents built from the schema's own names, holding arbitrary JSON values
