@@ -1,4 +1,4 @@
-"""JSON and CSV artifact writers shared by every stage.
+"""JSON and CSV artifact writers shared by every stage, and the column layout.
 
 ``write_json(doc, path)`` writes exactly the bytes of
 ``json.dumps(doc, indent=2, sort_keys=True)``, where a float
@@ -6,20 +6,26 @@
 a 1-D array a flat list of numbers, an n-D array the list of its rows.
 So the stages hand their matrices over as arrays, and no Python list of
 their floats is built.  ``json`` formats indented output with its
-pure-Python encoder, one number at a time, which makes the large numeric
-lists of the stage artifacts slow to write.  Here the containers are
-walked as the indenting encoder walks them, and each flat list of numbers
-goes through the C encoder in fixed slices: compact ``json.dumps``
-separates items with ``", "``, no number's text contains that, so
-replacing it with ``","`` plus the line indent gives the indented layout.
-A list of floats alone usually repeats a few values (the activations of
-the register's empty columns, its zero magnitudes), so when at most half
-its items are distinct, each distinct value is formatted once by the C
-encoder, and every slice joins the texts of its items.  The distinct
-values are found by sorting the floats' bits, so that -0.0 and 0.0 keep
-their own text.  Every other value is encoded by ``json.dumps`` itself, so
-NaN, Infinity, string escapes and empty containers come out as before.
-The file is streamed, never held whole in memory.
+pure-Python encoder, one number at a time, which makes long numeric lists
+slow to write.  Here the containers are walked as the indenting encoder
+walks them, and each flat list of numbers goes through the C encoder in
+fixed slices: compact ``json.dumps`` separates items with ``", "``, no
+number's text contains that, so replacing it with ``","`` plus the line
+indent gives the indented layout.  Every other value is encoded by
+``json.dumps`` itself, so NaN, Infinity, string escapes and empty
+containers come out as before.  The file is streamed, never held whole in
+memory.
+
+The large float arrays of the stage artifacts hold data in few columns:
+at 20000x3000 the observation has 54 of its 20000 columns nonzero, the
+activations are one constant a basis on every other column, and each
+3000-entry weight vector has 4 nonzero entries.  ``encode_columns`` writes
+such an array as ``{"shape", "cols", "data", "fill"}``: each row's most
+frequent value, found by sorting the floats' bits; the columns where any
+item's bits differ from its row's fill; and those columns, row-major.  A
+poor fill only costs size, never correctness.  ``decode_columns`` checks
+the layout and rebuilds the full-width array, bit-equal to the dense
+layout's parse, and still reads the dense layouts written before it.
 
 ``write_csv(header, rows, path)`` writes the bytes the standard ``csv``
 module's writer writes for rows of Python ints, floats and bools: each
@@ -28,7 +34,8 @@ quoting), comma-separated, with CRLF line ends.  A cell may also be a 1-D
 float array, which stands for its items as Python floats, one cell each.
 A channel row of 20000 steps holds about 53 distinct values, so when at
 most half an array's values are distinct, each distinct value is
-formatted once through the same lookup as above.
+formatted once, found by sorting the bits as above (so -0.0 and 0.0, and
+each NaN, keep their own text).
 
 Both writers write each artifact to a new file: a file already at the
 path is removed first, never truncated.  Every stage rewrites
@@ -50,9 +57,12 @@ written between them), and rewriting in place with ``r+`` then
 from __future__ import annotations
 
 import json
+import operator
 from pathlib import Path
 
 import numpy as np
+
+from .errors import ValidationError
 
 _INDENT = "  "
 _SLICE = 1024  # numbers per C-encoder call
@@ -71,6 +81,70 @@ def write_csv(header, rows, path: str | Path) -> None:
         fh.writelines(map(_csv_line, rows))
 
 
+def encode_columns(arr: np.ndarray) -> dict:
+    """A float vector or matrix in the column layout ``{"shape", "cols", "data", "fill"}``.
+
+    A vector is one row.  ``fill`` holds each row's most frequent value,
+    ``cols`` the columns where any item's bits differ from its row's fill
+    (so a poor fill costs only size, and -0.0 and 0.0 stay distinct), and
+    ``data`` those columns, row-major.  The arrays are handed over as they
+    are, for ``write_json``.
+    """
+    rows = np.atleast_2d(arr)
+    bits = rows.view(np.int64)
+    fill = np.array([_most_frequent(row) for row in bits], dtype=np.int64)
+    cols = np.flatnonzero((bits != fill[:, None]).any(axis=0))
+    return {
+        "shape": list(arr.shape),
+        "cols": cols.tolist(),
+        "data": rows[:, cols].ravel(),
+        "fill": fill.view(float),
+    }
+
+
+def decode_columns(entry, name: str) -> np.ndarray:
+    """The float array an artifact holds under the key ``name``, in any layout it was written in.
+
+    The column layout of ``encode_columns`` is checked before it is
+    rebuilt at full width; ``ValidationError`` names ``name`` when its
+    ``shape``, ``cols``, ``fill`` or ``data`` do not fit together.  The
+    dense layouts load as before: a list, nested for a matrix, and
+    ``{"shape", "data"}`` with the items row-major.
+    """
+    if not isinstance(entry, dict):
+        return np.asarray(entry, dtype=float)
+    if "cols" not in entry:
+        return np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
+    shape, cols = entry["shape"], entry["cols"]
+    if not (
+        isinstance(shape, list) and len(shape) in (1, 2)
+        and all(type(n) is int and n >= 0 for n in shape)
+    ):
+        raise ValidationError(f"{name}: shape must list 1 or 2 sizes, got {shape!r}")
+    R, T = (1, *shape) if len(shape) == 1 else shape
+    # exact types: JSON's true is not a column index, nor 2.0
+    if not (
+        isinstance(cols, list) and set(map(type, cols)) <= {int}
+        and all(map(operator.lt, cols, cols[1:]))
+        and (not cols or 0 <= cols[0] and cols[-1] < T)
+    ):
+        raise ValidationError(
+            f"{name}: cols must be strictly increasing integers in [0, {T})"
+        )
+    fill = np.asarray(entry["fill"], dtype=float)
+    data = np.asarray(entry["data"], dtype=float)
+    for key, values, size in (("fill", fill, R), ("data", data, R * len(cols))):
+        if values.shape != (size,):
+            raise ValidationError(
+                f"{name}: {key} must be a list of {size} numbers for shape {shape} "
+                f"and {len(cols)} cols, got shape {values.shape}"
+            )
+    rows = np.empty((R, T))
+    rows[:] = fill[:, None]
+    rows[:, cols] = data.reshape(R, len(cols))
+    return rows.reshape(shape)
+
+
 def _create(path: str | Path, newline: str | None = None):
     """A new text file at ``path``, open for writing; a file already there is removed first."""
     Path(path).unlink(missing_ok=True)
@@ -81,8 +155,7 @@ def _csv_line(row) -> str:
     texts = []
     for cell in row:
         if isinstance(cell, np.ndarray):
-            lookup = _distinct_texts(cell, lambda values: list(map(repr, values)))
-            texts += lookup(0, len(cell)) if lookup else map(repr, cell.tolist())
+            texts += _distinct_texts(cell)
         else:
             texts.append(repr(cell))
     return ",".join(texts) + "\r\n"
@@ -105,7 +178,7 @@ def _encode(o, level: int):
         sep = "[" + inner
         types = {float} if isinstance(o, np.ndarray) else set(map(type, o))
         if types <= {int, float}:
-            for text in _number_slices(o, types, "," + inner):
+            for text in _number_slices(o, "," + inner):
                 yield sep
                 yield text
                 sep = "," + inner
@@ -127,41 +200,46 @@ def _encode(o, level: int):
         yield json.dumps(o)
 
 
-def _number_slices(o, types: set, join: str):
+def _number_slices(o, join: str):
     """A flat list of numbers or 1-D float array as JSON text, ``_SLICE`` items at a time joined by ``join``."""
-    if types == {float}:
-        lookup = _distinct_texts(o, lambda values: json.dumps(values)[1:-1].split(", "))
-        if lookup is not None:
-            for i in range(0, len(o), _SLICE):
-                yield join.join(lookup(i, i + _SLICE))
-            return
-    # ints, which np.asarray would make floats, and mostly distinct values
     if isinstance(o, np.ndarray):
         o = o.tolist()
     for i in range(0, len(o), _SLICE):
         yield json.dumps(o[i : i + _SLICE])[1:-1].replace(", ", join)
 
 
-def _distinct_texts(floats, fmt):
-    """The texts of a flat list or 1-D array of floats, each distinct value formatted once.
+def _distinct_texts(floats: np.ndarray) -> list[str]:
+    """The ``repr`` of each item of a 1-D float array, each distinct value formatted once.
 
-    ``fmt`` turns the list of distinct values into their texts.  Returns a
-    function that gives the texts of the items ``start:stop``, or ``None``
-    when more than half the values are distinct: then a lookup costs more
-    than formatting each item.
+    When more than half the values are distinct, a lookup costs more than
+    formatting each item, and each is formatted alone.
     """
     # keyed by the bits, so -0.0 and 0.0 (and each NaN) keep their own text;
     # a float64 array is viewed as it is, whatever its strides
     bits = np.asarray(floats, dtype=float).view(np.int64)
-    # the distinct bits are the starts of the runs of the sorted bits:
-    # np.unique hashes first, several times slower here
+    ordered, starts = _runs(bits)
+    uniq = ordered[starts]
+    if 2 * len(uniq) > len(bits):
+        return list(map(repr, floats.tolist()))
+    texts = np.array(list(map(repr, uniq.view(float).tolist())), dtype=object)
+    return texts[np.searchsorted(uniq, bits)].tolist()
+
+
+def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted ``bits`` and the mask of where each run of equal values starts.
+
+    The runs' starts are the distinct values: np.unique hashes first,
+    several times slower here.
+    """
     ordered = np.sort(bits)
     starts = np.empty(len(ordered), dtype=bool)
     starts[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    uniq = ordered[starts]
-    if 2 * len(uniq) > len(bits):
-        return None
-    texts = np.array(fmt(uniq.view(float).tolist()), dtype=object)
-    # each call looks its items up, so no full-length index is held
-    return lambda start, stop: texts[np.searchsorted(uniq, bits[start:stop])].tolist()
+    return ordered, starts
+
+
+def _most_frequent(bits: np.ndarray) -> int:
+    """The most frequent of a nonempty row's float bits, the least such on a tie."""
+    ordered, starts = _runs(bits)
+    first = np.flatnonzero(starts)
+    return ordered[first[np.argmax(np.diff(first, append=len(ordered)))]]

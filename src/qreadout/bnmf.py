@@ -31,6 +31,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import special
 
+from .artifacts import decode_columns, encode_columns
 from .errors import DimensionError, NumericalDomainError, ValidationError
 
 EPS = 1e-12  # floor for denominators and log arguments
@@ -164,35 +165,27 @@ class FitResult:
                 raise ValidationError(f"{name} must be finite and nonnegative")
 
     def to_dict(self) -> dict:
-        # matrices go out row-major with their shapes explicit, as flat
-        # arrays for artifacts.write_json; json.dumps needs their .tolist()
-        doc = {
+        # arrays as they are, for artifacts.write_json: the bases row-major
+        # with their shape, the activations (one constant a basis on every
+        # column with no data) in the column layout
+        return {
             "K": self.K,
             "converged": self.converged,
             "iterations": self.iterations,
             "elbo_trace": list(self.elbo_trace),
+            "bases": {"shape": list(self.bases.shape), "data": self.bases.ravel()},
+            "activations": encode_columns(self.activations),
         }
-        for name in ("bases", "activations"):
-            arr = getattr(self, name)
-            doc[name] = {
-                "shape": list(arr.shape),
-                "data": arr.ravel(),
-            }
-        return doc
 
     @classmethod
     def from_dict(cls, d: dict) -> "FitResult":
-        def arr(key):
-            entry = d[key]
-            return np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-
         for key, kind in (("K", int), ("iterations", int), ("converged", bool)):
             # exact types: JSON's true is not an integer here, nor 2.0
             if type(d[key]) is not kind:
                 raise ValidationError(f"{key} must be {kind.__name__}, got {d[key]!r}")
         return cls(
-            bases=arr("bases"),
-            activations=arr("activations"),
+            bases=decode_columns(d["bases"], "bases"),
+            activations=decode_columns(d["activations"], "activations"),
             K=d["K"],
             converged=d["converged"],
             iterations=d["iterations"],

@@ -8,10 +8,12 @@ inputs through one loader: an artifact this run already wrote is handed
 over as the value it was written from, anything else is read from the
 output directory.  So a stage run on its own reruns against artifacts
 produced earlier, ``pipeline`` parses none of its own files, and both
-write byte-identical artifacts.  Numerical artifacts are written with
-full round-trip float formatting and contain no timestamps, so identical
-config+seed reruns are byte-identical; wall-clock data lives only in
-``run.json``.
+write byte-identical artifacts.  Before a stage runs, every file it may
+write is removed, so a rerun into a used directory keeps none of an
+earlier run's files that it does not write itself.  Numerical artifacts
+are written with full round-trip float formatting and contain no
+timestamps, so identical config+seed reruns are byte-identical;
+wall-clock data lives only in ``run.json``.
 
 Exit codes: 0 success, 2 validation failure (a bad config, a missing or
 malformed artifact, an output directory or artifact path that cannot be
@@ -299,28 +301,9 @@ def _save_channels(cfg: RunConfig, record: RunRecord, key: str, name: str, heade
     _save_csv(cfg, record, key, name, header, ([m, row] for m, row in enumerate(rows)))
 
 
-# each artifact a stage reads: the stage that writes it and the parser of its JSON
-_READS = {
-    "observation.json": ("simulate", register.ObservationMatrix.from_dict),
-    "ground_truth.json": ("simulate", register.ground_truth_from_dict),
-    "model.json": ("fit", bnmf.FitResult.from_dict),
-    "partition.json": ("partition", part_mod.BasisPartition.from_dict),
-}
-
-
-class _FloatMemo(dict):
-    """Float token text -> ``float(text)``, converting each distinct text once."""
-
-    def __missing__(self, text: str) -> float:
-        value = self[text] = float(text)
-        return value
-
-
 def _load(cfg: RunConfig, record: RunRecord, name: str):
     """The value of artifact ``name``: kept if this run wrote it, else read from its file.
 
-    The file is parsed as ``json.load`` parses it, with one ``float`` per
-    distinct number text: the artifacts repeat a few values many times.
     A missing file, or one whose text or values its parser refuses, is a
     validation failure that names it.
     """
@@ -332,10 +315,11 @@ def _load(cfg: RunConfig, record: RunRecord, name: str):
         raise ValidationError(f"missing artifact {name}; run the {producer} stage first")
     try:
         with open(path) as fh:
-            return parse(json.load(fh, parse_float=_FloatMemo().__getitem__))
+            return parse(json.load(fh))
     # the parsers' own checks raise ValueError subclasses; nesting past the
-    # recursion limit raises RecursionError
-    except (ValueError, KeyError, TypeError, RecursionError) as exc:
+    # recursion limit raises RecursionError, and an integer past the float
+    # range where a float belongs OverflowError
+    except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
         raise ValidationError(
             f"malformed artifact {name} ({type(exc).__name__}: {exc}); "
             f"rerun the {producer} stage"
@@ -521,17 +505,34 @@ def _stage_sweep(cfg: RunConfig, record: RunRecord) -> None:
     _save_csv(cfg, record, "sweep", "sweep.csv", ["delta", "snr_db"], rows)
 
 
-# the stage functions each subcommand runs, in order
+# each artifact a stage reads: the stage that writes it and the parser of its JSON
+_READS = {
+    "observation.json": ("simulate", register.ObservationMatrix.from_dict),
+    "ground_truth.json": ("simulate", register.ground_truth_from_dict),
+    "model.json": ("fit", bnmf.FitResult.from_dict),
+    "partition.json": ("partition", part_mod.BasisPartition.from_dict),
+}
+
+# each stage: its function and every file it may write besides run.json.
+# run() removes those files before the stage runs, so a rerun into a used
+# directory keeps none that this run does not write (scores.csv exists only
+# at K >= 2, clustered_bases.json and prob_table.csv only with a nonempty
+# target cluster)
+_WRITES = {
+    "simulate": (_stage_simulate, (
+        "ground_truth.json", "ground_truth.csv", "observation.csv", "observation.json",
+    )),
+    "fit": (_stage_fit, ("model.json", "elbo_trace.csv", "order_scores.csv")),
+    "partition": (_stage_partition, ("scores.csv", "partition.json")),
+    "recover": (_stage_recover, ("clustered_bases.json", "prob_table.csv", "recovery.json")),
+    "verify": (_stage_verify, ("snr_report.json",)),
+    "sweep": (_stage_sweep, ("sweep.csv",)),
+}
+
+# the stages each subcommand runs, in order
 _STEPS = {
-    "simulate": (_stage_simulate,),
-    "fit": (_stage_fit,),
-    "partition": (_stage_partition,),
-    "recover": (_stage_recover,),
-    "verify": (_stage_verify,),
-    "sweep": (_stage_sweep,),
-    "pipeline": (
-        _stage_simulate, _stage_fit, _stage_partition, _stage_recover, _stage_verify,
-    ),
+    **{stage: (stage,) for stage in _WRITES},
+    "pipeline": ("simulate", "fit", "partition", "recover", "verify"),
 }
 STAGES = tuple(_STEPS)
 
@@ -543,7 +544,10 @@ def run(cfg: RunConfig) -> RunRecord:
     started = time.monotonic()
 
     for stage in _STEPS[cfg.stage]:
-        stage(cfg, record)
+        run_stage, files = _WRITES[stage]
+        for name in files:
+            (cfg.output_dir / name).unlink(missing_ok=True)
+        run_stage(cfg, record)
 
     record.elapsed_seconds = time.monotonic() - started
     write_json(record.to_dict(), cfg.output_dir / "run.json")

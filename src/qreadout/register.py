@@ -18,10 +18,11 @@ register state.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
+from .artifacts import decode_columns, encode_columns
 from .errors import ConfigurationError, DimensionError
 
 NUM_SOURCES = 2  # target + residual; the whole pipeline is specialized to this
@@ -153,21 +154,12 @@ class GroundTruth:
         return self.source_rows.shape[1]
 
     def to_dict(self) -> dict:
-        # the arrays as they are, for artifacts.write_json; json.dumps
-        # needs their .tolist()
-        return {
-            "source_rows": self.source_rows,
-            "input_weights": self.input_weights,
-            "residual_weights": self.residual_weights,
-        }
+        # each array in the column layout, for artifacts.write_json
+        return {f.name: encode_columns(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "GroundTruth":
-        return cls(
-            source_rows=np.asarray(d["source_rows"], dtype=float),
-            input_weights=np.asarray(d["input_weights"], dtype=float),
-            residual_weights=np.asarray(d["residual_weights"], dtype=float),
-        )
+        return cls(**{f.name: decode_columns(d[f.name], f.name) for f in fields(cls)})
 
 
 @dataclass(frozen=True)
@@ -193,13 +185,13 @@ class ObservationMatrix:
         return self.values.sum(axis=0)
 
     def to_dict(self) -> dict:
-        # the values as they are, for artifacts.write_json
-        return {"config": self.metadata.to_dict(), "values": self.values}
+        # the values in the column layout, for artifacts.write_json
+        return {"config": self.metadata.to_dict(), "values": encode_columns(self.values)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservationMatrix":
         return cls(
-            values=np.asarray(d["values"], dtype=float),
+            values=decode_columns(d["values"], "values"),
             metadata=RegisterConfig.from_dict(d["config"]),
         )
 

@@ -10,7 +10,10 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 from qreadout import artifacts, cli
-from qreadout.artifacts import _SLICE, write_csv, write_json
+from qreadout.artifacts import (
+    _SLICE, decode_columns, encode_columns, write_csv, write_json,
+)
+from qreadout.errors import ValidationError
 
 SMALL_PIPELINE = {
     "stage": "pipeline",
@@ -56,10 +59,10 @@ def half_distinct_floats(n: int, distinct: int, seed: int) -> list[float]:
     return floats
 
 
-# lists of floats alone with at most half their values distinct take the
-# path that formats each distinct value once, keyed by its bits; the
-# specials keep their own texts there.  Tiled past two slices, and at
-# exactly half and half + 1 distinct values (the edge of the fallback).
+# lists of floats alone, repeating a few values with the specials among
+# them, which must keep their own texts.  Tiled past two slices, and at
+# exactly half and half + 1 distinct values (the edge of the CSV writer's
+# once-per-distinct-value lookup).
 special_floats = st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), -float("inf")])
 long_float_lists = st.one_of(
     st.builds(
@@ -165,24 +168,24 @@ def test_float_arrays_equal_indented_json_dumps_of_their_lists(array, nest, tmp_
     assert_same_text(written(value, directory), json.dumps(as_lists, indent=2, sort_keys=True))
 
 
-@pytest.mark.parametrize("extra,calls", [(0, 1), (1, 3)])
-def test_distinct_floats_formatted_once(tmp_path, monkeypatch, extra, calls):
-    # 2 * _SLICE + 2 items: the distinct values in one encoder call, or the
-    # three slices when more than half the values are distinct; the same
-    # for the list and for its array
+@pytest.mark.parametrize("extra", [0, 1], ids=["at-half", "past-half"])
+def test_csv_distinct_floats_formatted_once(tmp_path, monkeypatch, extra):
+    # a row of 2 * _SLICE + 2 floats: with at most half of them distinct each
+    # distinct value is formatted once, with one more each item is formatted
+    # alone; the index cell is formatted too
     floats = half_distinct_floats(2 * _SLICE + 2, _SLICE + 1 + extra, seed=7)
-    expected = json.dumps(floats, indent=2, sort_keys=True)
-    dumps, seen = json.dumps, []
+    header = ["m"] + [f"t{t}" for t in range(len(floats))]
+    seen = []
 
-    def counting(obj, *args, **kwargs):
-        seen.append(len(obj))
-        return dumps(obj, *args, **kwargs)
+    def counting(value):
+        seen.append(value)
+        return repr(value)
 
-    monkeypatch.setattr(artifacts.json, "dumps", counting)
-    for handed in (floats, np.array(floats)):
-        seen.clear()
-        assert_same_text(written(handed, tmp_path), expected)
-        assert len(seen) == calls
+    monkeypatch.setattr(artifacts, "repr", counting, raising=False)
+    path = tmp_path / "row.csv"
+    write_csv(header, [[0, np.array(floats)]], path)
+    assert path.read_bytes() == csv_text(header, [[0, *floats]]).encode()
+    assert len(seen) == 1 + (len(floats) if extra else _SLICE + 1)
 
 
 @pytest.mark.parametrize("integral", [False, True])
@@ -215,6 +218,85 @@ def test_csv_bytes_match_csv_writer(tmp_path, integral):
             got = tmp_path / "got.csv"
             write_csv(header, handed, got)
             assert got.read_bytes() == expected.read_bytes()
+
+
+# a row's items: a few values, so fills and repeats are common, with -0.0
+# beside 0.0; no NaN, whose JSON text is one for every NaN bit pattern
+layout_values = st.sampled_from([0.0, -0.0, 1.5, 2.0**-1074, 1e300, -3.25, float("inf")])
+layout_arrays = st.integers(1, 12).flatmap(
+    lambda T: st.one_of(
+        st.lists(layout_values, min_size=T, max_size=T).map(np.array),
+        st.integers(1, 4).flatmap(
+            lambda R: st.lists(
+                st.lists(layout_values, min_size=T, max_size=T), min_size=R, max_size=R
+            ).map(np.array)
+        ),
+    )
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(array=layout_arrays)
+def test_column_layout_round_trips_bit_equal(array, tmp_path_factory):
+    entry = encode_columns(array)
+    assert sorted(entry) == ["cols", "data", "fill", "shape"]
+    rows = np.atleast_2d(array)
+    fill = np.asarray(entry["fill"])
+    # the fill is each row's most frequent value, by bits
+    for row, value in zip(rows, fill):
+        counts = {}
+        for bits in row.view(np.int64).tolist():
+            counts[bits] = counts.get(bits, 0) + 1
+        assert counts[np.float64(value).view(np.int64)] == max(counts.values())
+    # the cols are exactly the columns where an item's bits differ from its fill
+    differs = rows.view(np.int64) != fill.view(np.int64)[:, None]
+    assert entry["cols"] == np.flatnonzero(differs.any(axis=0)).tolist()
+    text = written(entry, tmp_path_factory.getbasetemp())
+    back = decode_columns(json.loads(text), "x")
+    assert back.shape == array.shape and back.tobytes() == array.tobytes()
+
+
+LAYOUT = {"shape": [2, 5], "cols": [1, 3], "data": [1.5, 2.5, 0.0, -0.0], "fill": [0.0, 7.0]}
+
+
+def test_column_layout_decodes_at_full_width():
+    np.testing.assert_array_equal(
+        decode_columns(LAYOUT, "x"),
+        [[0.0, 1.5, 0.0, 2.5, 0.0], [7.0, 0.0, 7.0, -0.0, 7.0]],
+    )
+    assert np.signbit(decode_columns(LAYOUT, "x")[1, 3])
+    # the dense layouts written before it
+    assert decode_columns([[1.0, 2.0]], "x").shape == (1, 2)
+    assert decode_columns({"shape": [2, 1], "data": [1.0, 2.0]}, "x").shape == (2, 1)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        {"cols": [-1, 3]},
+        {"cols": [1, 5]},
+        {"cols": [1, 99999]},
+        {"cols": [3, 1]},
+        {"cols": [1, 1]},
+        {"cols": [True, 3]},
+        {"cols": [1.0, 3]},
+        {"cols": [1, 2**70]},
+        {"cols": "13"},
+        {"data": [1.5, 2.5, 0.0]},
+        {"data": [[1.5, 2.5], [0.0, -0.0]]},
+        {"fill": [0.0]},
+        {"fill": [0.0, 7.0, 1.0]},
+        {"shape": [2]},
+        {"shape": [2, -5]},
+        {"shape": [2, True]},
+        {"shape": [1, 2, 5]},
+        {"shape": "2x5"},
+    ],
+    ids=lambda damage: json.dumps(damage),
+)
+def test_malformed_column_layout_refused(damage):
+    with pytest.raises(ValidationError, match="^values: "):
+        decode_columns({**LAYOUT, **damage}, "values")
 
 
 def test_pipeline_artifacts_are_indented_sorted_json(tmp_path):

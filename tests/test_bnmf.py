@@ -8,7 +8,7 @@ import pytest
 from scipy import optimize, special
 
 from qreadout import bnmf, register
-from qreadout.artifacts import write_json
+from qreadout.artifacts import decode_columns, write_json
 from qreadout.errors import DimensionError, NumericalDomainError, ValidationError
 
 
@@ -566,7 +566,11 @@ class TestSerialization:
         with open(tmp_path / "model.json") as fh:
             doc = json.load(fh)
         assert doc["bases"]["shape"] == [2, 2]
+        # the activations in the column layout, whose decoding is the fit's
+        assert sorted(doc["activations"]) == ["cols", "data", "fill", "shape"]
         assert doc["activations"]["shape"] == [2, 8]
+        decoded = decode_columns(doc["activations"], "activations")
+        assert decoded.tobytes() == m.activations.tobytes()
         assert "eta" not in doc
         back = bnmf.FitResult.from_dict(doc)
         assert np.array_equal(back.bases, m.bases)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qreadout import cli, register
+from qreadout import bnmf, cli, register
 
 
 SMALL_REGISTER = {"horizon": 200, "dim": 64, "residual_strength": 0.3}
@@ -167,6 +167,40 @@ class TestDeterminism:
         assert seed_0.keys() == rerun.keys() and seed_0 != rerun
         assert rerun == artifact_bytes(fresh)
 
+    @pytest.mark.parametrize("how", ["pipeline", "staged"])
+    def test_fewer_bases_over_a_used_directory_leave_no_stale_file(self, tmp_path, how):
+        # a K = 1 run over a default seed-0 directory (K* = 2, so it holds
+        # scores.csv) writes what a fresh K = 1 run writes, and nothing more
+        tiny = {"register": {"horizon": 64, "dim": 16}}
+        configs = {"default": tiny, "k1": dict(tiny, factorization={"k": 1})}
+        for name, doc in configs.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        used, fresh = tmp_path / "used", tmp_path / "fresh"
+
+        def run(config, out, stages):
+            for stage in stages:
+                argv = [stage, "--config", str(tmp_path / f"{config}.json"),
+                        "--seed", "0", "--out", str(out)]
+                assert cli.main(argv) == 0
+
+        run("default", used, ["pipeline"])
+        assert "scores.csv" in artifact_bytes(used)
+        run("k1", used, ["pipeline"] if how == "pipeline" else cli._STEPS["pipeline"])
+        run("k1", fresh, ["pipeline"])
+        assert "scores.csv" not in artifact_bytes(fresh)
+        assert artifact_bytes(used) == artifact_bytes(fresh)
+
+    def test_each_stage_writes_the_files_it_declares(self, tmp_path):
+        # every stage run on its own adds exactly its declared files (this
+        # config reaches K* >= 2 with a nonempty target cluster, so the
+        # conditional ones are written too)
+        seen = set()
+        for stage in ("simulate", "fit", "partition", "recover", "verify", "sweep"):
+            run_stage(tmp_path, stage, doc=config_doc(tmp_path, stage=stage, sweep=SWEEP))
+            names = set(artifact_bytes(tmp_path / "out"))
+            assert names - seen == set(cli._WRITES[stage][1]), stage
+            seen = names
+
 
 # (section, key, value): one malformed entry per case; None as the key
 # replaces the whole section
@@ -247,22 +281,23 @@ class TestCsvArtifacts:
 
     def test_observation_csv_header_and_roundtrip(self, pipeline_out):
         doc = json.loads((pipeline_out / "observation.json").read_text())
-        cfg = register.RegisterConfig.from_dict(doc["config"])
+        obs = register.ObservationMatrix.from_dict(doc)
         rows = self.read(pipeline_out / "observation.csv")
-        assert rows[0] == ["m"] + [f"t{t}" for t in range(cfg.horizon)]
+        assert rows[0] == ["m"] + [f"t{t}" for t in range(obs.metadata.horizon)]
         assert [row[0] for row in rows[1:]] == [str(m) for m in range(register.NUM_SOURCES)]
         back = np.array([[float(v) for v in row[1:]] for row in rows[1:]])
-        np.testing.assert_array_equal(back, doc["values"])
+        np.testing.assert_array_equal(back, obs.values)
 
     def test_ground_truth_csv_layout(self, pipeline_out):
         doc = json.loads((pipeline_out / "ground_truth.json").read_text())
+        gt, cfg = register.ground_truth_from_dict(doc)
         rows = self.read(pipeline_out / "ground_truth.csv")
-        assert rows[0] == ["m"] + [f"t{t}" for t in range(doc["config"]["horizon"])]
+        assert rows[0] == ["m"] + [f"t{t}" for t in range(cfg.horizon)]
         assert len(rows) == 3
         for m in (0, 1):
             assert rows[m + 1][0] == str(m)
             np.testing.assert_array_equal(
-                [float(v) for v in rows[m + 1][1:]], doc["source_rows"][m]
+                [float(v) for v in rows[m + 1][1:]], gt.source_rows[m]
             )
 
     def test_scores_csv(self, pipeline_out):
@@ -307,6 +342,39 @@ def test_pipeline_hands_artifacts_on_without_parsing(tmp_path, monkeypatch, pipe
         run_stage(tmp_path, "fit")
 
 
+def dense(name: str, doc: dict) -> dict:
+    """Artifact ``name`` rewritten in the dense layout of the column layout's
+    predecessor: nested lists for the register's arrays, ``{"shape", "data"}``
+    for the model's."""
+    if name == "observation.json":
+        values = register.ObservationMatrix.from_dict(doc).values
+        return dict(doc, values=values.tolist())
+    if name == "ground_truth.json":
+        gt, _ = register.ground_truth_from_dict(doc)
+        return dict(doc, **{key: getattr(gt, key).tolist() for key in
+                            ("source_rows", "input_weights", "residual_weights")})
+    acts = bnmf.FitResult.from_dict(doc).activations
+    return dict(doc, activations={"shape": list(acts.shape), "data": acts.ravel().tolist()})
+
+
+def test_dense_layouts_still_load_bit_equal(tmp_path, pipeline_out):
+    cfg = cli.RunConfig(stage="verify", seed=0, output_dir=tmp_path, document={})
+    for name in ("observation.json", "ground_truth.json", "model.json"):
+        doc = json.loads((pipeline_out / name).read_text())
+        (tmp_path / name).write_text(json.dumps(dense(name, doc), indent=2, sort_keys=True))
+        columns = cli._READS[name][1](doc)
+        loaded = cli._load(cfg, cli.RunRecord(stage="verify", seed=0), name)
+        if name == "ground_truth.json":
+            pairs = [(getattr(loaded[0], k), getattr(columns[0], k))
+                     for k in ("source_rows", "input_weights", "residual_weights")]
+        elif name == "observation.json":
+            pairs = [(loaded.values, columns.values)]
+        else:
+            pairs = [(loaded.bases, columns.bases), (loaded.activations, columns.activations)]
+        for got, want in pairs:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
 def same_floats(a, b) -> bool:
     """Equal documents whose floats also agree bit for bit (sign of zero, NaN)."""
     if type(a) is not type(b):
@@ -345,7 +413,7 @@ def test_load_parses_float_edge_cases_as_json_load(monkeypatch, tmp_path):
     expected = json.loads(text)
     got = load_raw(monkeypatch, tmp_path, "edge.json")
     assert same_floats(got, expected)
-    assert same_floats(got["a"][0], -0.0) and got["a"][0] is got["b"][0]
+    assert same_floats(got["a"][0], -0.0)
 
 
 class TestMain:
@@ -428,15 +496,30 @@ class TestMain:
             ("model.json", "bases", "nan-first"),
             ("model.json", "activations", "negative-first"),
             ("model.json", "K", 2.5),
+            # the column layout, damaged: each refused before it is rebuilt
+            ("observation.json", "values", lambda e: dict(e, cols=[-1, *e["cols"][1:]])),
+            ("observation.json", "values", lambda e: dict(e, cols=[*e["cols"][:-1], 99999])),
+            ("observation.json", "values", lambda e: dict(e, data=e["data"][:-1])),
+            ("ground_truth.json", "source_rows", lambda e: dict(e, cols=e["cols"][::-1])),
+            ("ground_truth.json", "input_weights",
+             lambda e: dict(e, cols=[e["cols"][0], *e["cols"][:-1]])),
+            ("ground_truth.json", "residual_weights", lambda e: dict(e, fill=[0.0, 0.0])),
+            ("model.json", "activations", lambda e: dict(e, cols=[True, *e["cols"][1:]])),
+            ("model.json", "activations", lambda e: dict(e, cols=[float(c) for c in e["cols"]])),
+            ("model.json", "activations", lambda e: dict(e, shape=[e["shape"][0], True])),
         ],
         ids=["gt-2d-weights", "gt-nan-weight", "gt-negative-residual",
-             "model-nan-basis", "model-negative-activation", "model-fractional-K"],
+             "model-nan-basis", "model-negative-activation", "model-fractional-K",
+             "obs-negative-col", "obs-col-past-end", "obs-short-data",
+             "gt-decreasing-cols", "gt-repeated-col", "gt-long-fill",
+             "model-bool-col", "model-float-cols", "model-bool-shape"],
     )
     def test_damaged_artifact_values_exit_2(
         self, tmp_path, capsys, pipeline_out, name, key, value
     ):
         # every stage that reads the damaged artifact refuses it
         stages = {
+            "observation.json": ("fit",),
             "ground_truth.json": ("recover", "verify"),
             "model.json": ("partition", "recover", "verify"),
         }[name]
@@ -444,7 +527,9 @@ class TestMain:
         out = Path(doc["output_dir"])
         shutil.copytree(pipeline_out, out)
         art = json.loads((out / name).read_text())
-        if value in ("nan-first", "negative-first"):
+        if callable(value):
+            art[key] = value(art[key])
+        elif value in ("nan-first", "negative-first"):
             values = art[key]["data"] if isinstance(art[key], dict) else art[key]
             values[0] = float("nan") if value == "nan-first" else -1.0
         else:
@@ -456,6 +541,20 @@ class TestMain:
             payload = json.loads(capsys.readouterr().err.strip())
             assert payload["error"] == "ValidationError", stage
             assert name in payload["message"] and key in payload["message"], stage
+
+    def test_integer_past_the_float_range_exits_2(self, tmp_path, capsys, pipeline_out):
+        # JSON integers have no size limit; one where a float belongs raised
+        # OverflowError out of the loader, a traceback
+        doc = config_doc(tmp_path, stage="fit")
+        out = Path(doc["output_dir"])
+        shutil.copytree(pipeline_out, out)
+        art = json.loads((out / "observation.json").read_text())
+        art["values"]["data"][0] = 10**400
+        (out / "observation.json").write_text(json.dumps(art))
+        assert cli.main(["fit", "--config", str(write_config(tmp_path, doc))]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert "observation.json" in payload["message"] and "OverflowError" in payload["message"]
 
     @pytest.mark.parametrize("stage", ["recover", "verify"])
     @pytest.mark.parametrize(

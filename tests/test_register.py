@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from qreadout import register
-from qreadout.artifacts import write_json
+from qreadout.artifacts import encode_columns, write_json
 from qreadout.errors import ConfigurationError, DimensionError
 
 
@@ -191,9 +191,13 @@ class TestSerialization:
     )
     def test_malformed_weights_rejected(self, key, value):
         cfg = make_cfg()
-        doc = register.ground_truth_to_dict(register.generate_input(cfg), cfg)
+        gt = register.generate_input(cfg)
+        doc = register.ground_truth_to_dict(gt, cfg)
         if value in ("nan", "negative"):
-            doc[key][-1] = float("nan") if value == "nan" else -1e-3
+            # the last weight damaged, written in the column layout as before
+            weights = getattr(gt, key).copy()
+            weights[-1] = float("nan") if value == "nan" else -1e-3
+            doc[key] = encode_columns(weights)
         else:
             doc[key] = value
         with pytest.raises(ConfigurationError, match=key):
