@@ -62,7 +62,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DimensionError, ValidationError
 
 _INDENT = "  "
 _SLICE = 1024  # numbers per C-encoder call
@@ -102,14 +102,18 @@ def encode_columns(arr: np.ndarray) -> dict:
     }
 
 
-def decode_columns(entry, name: str) -> np.ndarray:
+def decode_columns(entry, name: str, expect: tuple | None = None) -> np.ndarray:
     """The float array an artifact holds under the key ``name``, in any layout it was written in.
 
     The column layout of ``encode_columns`` is checked before it is
     rebuilt at full width; ``ValidationError`` names ``name`` when its
-    ``shape``, ``cols``, ``fill`` or ``data`` do not fit together.  The
-    dense layouts load as before: a list, nested for a matrix, and
-    ``{"shape", "data"}`` with the items row-major.
+    ``shape``, ``cols``, ``fill`` or ``data`` do not fit together, and
+    ``DimensionError`` when its ``shape`` is not ``expect`` (a size None
+    there matches any).  A layout with no cols declares its width in
+    ``shape`` alone, so ``expect`` is what bounds the allocation by the
+    artifact's config.  The dense layouts load as before, sized by their
+    file: a list, nested for a matrix, and ``{"shape", "data"}`` with the
+    items row-major.
     """
     if not isinstance(entry, dict):
         return np.asarray(entry, dtype=float)
@@ -121,6 +125,12 @@ def decode_columns(entry, name: str) -> np.ndarray:
         and all(type(n) is int and n >= 0 for n in shape)
     ):
         raise ValidationError(f"{name}: shape must list 1 or 2 sizes, got {shape!r}")
+    if expect is not None and not (
+        len(shape) == len(expect)
+        and all(e is None or n == e for n, e in zip(shape, expect))
+    ):
+        want = " x ".join("any" if e is None else str(e) for e in expect)
+        raise DimensionError(f"{name}: shape must be {want}, got {shape!r}")
     R, T = (1, *shape) if len(shape) == 1 else shape
     # exact types: JSON's true is not a column index, nor 2.0
     if not (

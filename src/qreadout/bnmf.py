@@ -185,7 +185,8 @@ class FitResult:
                 raise ValidationError(f"{key} must be {kind.__name__}, got {d[key]!r}")
         return cls(
             bases=decode_columns(d["bases"], "bases"),
-            activations=decode_columns(d["activations"], "activations"),
+            # T has no reference in this file; K bounds the rows
+            activations=decode_columns(d["activations"], "activations", (d["K"], None)),
             K=d["K"],
             converged=d["converged"],
             iterations=d["iterations"],
@@ -432,7 +433,42 @@ def _widen(data: np.ndarray, fill, cols: np.ndarray, T: int) -> np.ndarray:
     return out
 
 
-def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
+@dataclass(frozen=True)
+class _Swept:
+    """A fit whose sweeps have ended, before ``_finish`` builds its model.
+
+    ``K``, ``iterations``, ``converged`` and ``elbo_trace`` are the fit's
+    record.  The activation arrays and ``eta`` hold the data columns
+    ``cols`` of a ``T``-column observation only.  The last sweep's
+    allocation read the basis log means ``eta_bases``, and on the all-zero
+    columns the activation scale ``eta_scale`` after two or more sweeps,
+    or the random start's K x T activation shapes and scales ``start``
+    after one.  Each of those two is None where no all-zero column needs
+    it, so no full-width array outlives the sweeps unless finishing
+    reads it.
+    """
+
+    K: int
+    iterations: int
+    converged: bool
+    elbo_trace: tuple
+    T: int
+    cols: np.ndarray
+    bases: np.ndarray
+    log_bases: np.ndarray
+    a_shape: np.ndarray
+    a_scale: np.ndarray
+    activations: np.ndarray
+    log_activations: np.ndarray
+    b_shape: np.ndarray
+    b_scale: np.ndarray
+    eta: np.ndarray
+    eta_bases: np.ndarray
+    eta_scale: np.ndarray | None
+    start: tuple | None
+
+
+def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     """Run the full variational loop until the bound stabilizes.
 
     A sweep is allocation update, Gamma updates, then the bound: the
@@ -452,10 +488,16 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
     change drops below ``opts.tol`` or after ``opts.max_iters`` sweeps; a
     non-converged model is returned flagged, not raised.  An all-zero
     observation short-circuits after the first sweep since there is no
-    mass to allocate.  The full-width model, whose allocation comes from
-    the log means the last sweep started from, is built once at the end,
-    and the control estimates run once, on that final state: no update
-    reads them.
+    mass to allocate.
+
+    The sweeps end in an unfinished state on the data columns.  Finishing
+    it builds the full-width model, whose allocation comes from the log
+    means the last sweep started from, and runs the control estimates
+    once, on that final state: no update reads them.  With
+    ``finish=False`` the unfinished state is returned instead, carrying
+    ``K``, ``iterations``, ``converged`` and ``elbo_trace``;
+    ``select_order`` passes it so that it finishes only the order it
+    keeps, through the same finishing step.
     """
     opts = opts or FitOptions()
     X = _as_observation(X)
@@ -563,35 +605,60 @@ def fit(X, K: int, opts: FitOptions | None = None) -> FactorModel:
                 break
         previous = elbo
 
-    if n0:
-        if len(trace) == 1:  # one sweep, which read the start on every column
-            eta = _eta(eta_bases, special.psi(b_start[0]) + np.log(b_start[1]))
-        else:
-            empty = _eta(eta_bases, special.psi(1.0) + np.log(before))
-            eta = _widen(eta, empty, cols, T)
-        log_activations = _widen(
-            log_activations, special.psi(1.0) + np.log(b_scale), cols, T
-        )
-        activations = _widen(activations, b_scale, cols, T)
-        b_shape = _widen(b_shape, 1.0, cols, T)
-    return update_control(FactorModel(
+    swept = _Swept(
+        K=K,
+        iterations=len(trace),
+        converged=converged,
+        elbo_trace=tuple(trace),
+        T=T,
+        cols=cols,
         bases=bases,
-        activations=activations,
         log_bases=log_bases,
-        log_activations=log_activations,
-        eta=eta,
         a_shape=a_shape,
         a_scale=a_scale,
+        activations=activations,
+        log_activations=log_activations,
         b_shape=b_shape,
         b_scale=b_scale,
+        eta=eta,
+        eta_bases=eta_bases,
+        eta_scale=before if n0 and len(trace) > 1 else None,
+        start=b_start if n0 and len(trace) == 1 else None,
+    )
+    return _finish(swept) if finish else swept
+
+
+def _finish(s: _Swept) -> FactorModel:
+    """The full-width model of a swept fit, with its control estimates."""
+    eta, activations = s.eta, s.activations
+    log_activations, b_shape = s.log_activations, s.b_shape
+    if s.cols.size < s.T:
+        if s.start is not None:  # one sweep, which read the start on every column
+            eta = _eta(s.eta_bases, special.psi(s.start[0]) + np.log(s.start[1]))
+        else:
+            empty = _eta(s.eta_bases, special.psi(1.0) + np.log(s.eta_scale))
+            eta = _widen(eta, empty, s.cols, s.T)
+        log_activations = _widen(
+            log_activations, special.psi(1.0) + np.log(s.b_scale), s.cols, s.T
+        )
+        activations = _widen(activations, s.b_scale, s.cols, s.T)
+        b_shape = _widen(b_shape, 1.0, s.cols, s.T)
+    return update_control(FactorModel(
+        bases=s.bases,
+        activations=activations,
+        log_bases=s.log_bases,
+        log_activations=log_activations,
+        eta=eta,
+        a_shape=s.a_shape,
+        a_scale=s.a_scale,
+        b_shape=b_shape,
+        b_scale=s.b_scale,
         ctrl_alpha=None,  # both set by update_control
         ctrl_beta=None,
-        K=K,
-        prior_rate_u=rate_u,
-        prior_rate_w=rate_w,
-        converged=converged,
-        iterations=len(trace),
-        elbo_trace=tuple(trace),
+        K=s.K,
+        converged=s.converged,
+        iterations=s.iterations,
+        elbo_trace=s.elbo_trace,
     ))
 
 
@@ -624,8 +691,9 @@ def select_order(
 
     Fits every K in [k_min, k_max] with a seed derived per K, and returns
     the argmax; ties resolve toward the smaller K.  Each fit's sweeps cost
-    time in the columns of X that hold data; the start it draws and the
-    model it returns are full width.
+    time in the columns of X that hold data, and only the order returned
+    is finished into a full-width model, by the finishing step of
+    ``fit``: the model is the one ``fit`` returns at that order and seed.
     """
     opts = opts or FitOptions()
     if not 1 <= k_min <= k_max:
@@ -634,18 +702,17 @@ def select_order(
         )
     X = _as_observation(X)
 
-    best_k = None
-    best_model = None
-    best_elbo = -np.inf
+    best = None
     scores = []
     for K in range(k_min, k_max + 1):
         child_seed = np.random.SeedSequence(entropy=(opts.seed, K))
         child = replace(opts, seed=int(child_seed.generate_state(1)[0]))
-        model = fit(X, K, child)
-        elbo = model.elbo_trace[-1]
-        scores.append((K, elbo, model.converged))
-        if elbo > best_elbo:
-            best_k, best_model, best_elbo = K, model, elbo
+        swept = fit(X, K, child, finish=False)
+        elbo = swept.elbo_trace[-1]
+        scores.append((K, elbo, swept.converged))
+        if best is None or elbo > best.elbo_trace[-1]:
+            best = swept
+    model = _finish(best)
     if with_trace:
-        return best_k, best_model, scores
-    return best_k, best_model
+        return best.K, model, scores
+    return best.K, model

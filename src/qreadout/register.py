@@ -157,10 +157,6 @@ class GroundTruth:
         # each array in the column layout, for artifacts.write_json
         return {f.name: encode_columns(getattr(self, f.name)) for f in fields(self)}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroundTruth":
-        return cls(**{f.name: decode_columns(d[f.name], f.name) for f in fields(cls)})
-
 
 @dataclass(frozen=True)
 class ObservationMatrix:
@@ -190,10 +186,9 @@ class ObservationMatrix:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ObservationMatrix":
-        return cls(
-            values=decode_columns(d["values"], "values"),
-            metadata=RegisterConfig.from_dict(d["config"]),
-        )
+        cfg = RegisterConfig.from_dict(d["config"])
+        shape = (NUM_SOURCES, cfg.horizon)
+        return cls(values=decode_columns(d["values"], "values", shape), metadata=cfg)
 
 
 def component_windows(horizon: int, dim: int) -> list[slice]:
@@ -341,10 +336,22 @@ def ground_truth_to_dict(gt: GroundTruth, cfg: RegisterConfig) -> dict:
 
 
 def ground_truth_from_dict(doc: dict) -> tuple[GroundTruth, RegisterConfig]:
-    gt, cfg = GroundTruth.from_dict(doc), RegisterConfig.from_dict(doc["config"])
+    cfg = RegisterConfig.from_dict(doc["config"])
+    shapes = {
+        "source_rows": (NUM_SOURCES, cfg.horizon),
+        "input_weights": (cfg.dim,),
+        "residual_weights": (cfg.dim,),
+    }
+    mismatch = f"does not match its config (horizon {cfg.horizon}, dim {cfg.dim})"
+    try:
+        arrays = {k: decode_columns(doc[k], k, v) for k, v in shapes.items()}
+    except DimensionError as exc:
+        raise ConfigurationError(f"ground truth {mismatch}: {exc}") from exc
+    gt = GroundTruth(**arrays)
+    # a dense layout is sized by its file, and checked here once parsed
     if gt.horizon != cfg.horizon or len(gt.input_weights) != cfg.dim:
         raise ConfigurationError(
             f"ground truth of {gt.horizon} steps and {len(gt.input_weights)} components "
-            f"does not match its config (horizon {cfg.horizon}, dim {cfg.dim})"
+            + mismatch
         )
     return gt, cfg

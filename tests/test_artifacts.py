@@ -13,7 +13,7 @@ from qreadout import artifacts, cli
 from qreadout.artifacts import (
     _SLICE, decode_columns, encode_columns, write_csv, write_json,
 )
-from qreadout.errors import ValidationError
+from qreadout.errors import DimensionError, ValidationError
 
 SMALL_PIPELINE = {
     "stage": "pipeline",
@@ -367,3 +367,16 @@ def test_symlink_at_the_path_is_replaced(tmp_path):
     assert not path.is_symlink()
     assert path.read_text() == json.dumps([1], indent=2)
     assert target.read_text() == "kept"
+
+
+@pytest.mark.parametrize(
+    "expect", [(2, 6), (3, 5), (5,), (None, 4), (1, None)], ids=repr
+)
+def test_column_layout_of_another_shape_refused(expect):
+    with pytest.raises(DimensionError, match=r"^values: shape must be "):
+        decode_columns(LAYOUT, "values", expect)
+
+
+@pytest.mark.parametrize("expect", [(2, 5), (None, 5), (2, None), (None, None)], ids=repr)
+def test_column_layout_of_the_expected_shape_decoded(expect):
+    assert decode_columns(LAYOUT, "values", expect).shape == (2, 5)

@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 from dataclasses import replace
 
 import mpmath
@@ -555,6 +556,67 @@ class TestSelectOrder:
             k_star, _ = bnmf.select_order(U @ W, 1, 5, opts)
             hits += k_star == 2
         assert hits >= int(0.8 * trials)
+
+
+    @pytest.mark.parametrize(
+        "X,opts",
+        [
+            (planted_two_blocks(60), bnmf.FitOptions(max_iters=200, tol=1e-7, seed=60)),
+            (zeroed(random_matrix(61, T=64, scale=5.0), some_columns(61, 64)),
+             bnmf.FitOptions(max_iters=300, tol=1e-8, seed=61)),
+            (zeroed(random_matrix(62, T=64, scale=5.0), some_columns(62, 64)),
+             bnmf.FitOptions(max_iters=1, seed=62)),
+            (np.zeros((2, 16)), bnmf.FitOptions(max_iters=50, seed=63)),
+        ],
+        ids=["data-columns", "empty-columns", "one-sweep-empty-columns", "all-zero"],
+    )
+    def test_returned_model_is_the_fit_at_the_kept_order(self, X, opts):
+        # only the kept order is finished, by fit's own finishing step
+        k_star, model, scores = bnmf.select_order(X, 1, 4, opts, with_trace=True)
+        entropy = np.random.SeedSequence(entropy=(opts.seed, k_star))
+        want = bnmf.fit(X, k_star, replace(opts, seed=int(entropy.generate_state(1)[0])))
+        assert model.K == want.K == k_star
+        assert (model.iterations, model.converged) == (want.iterations, want.converged)
+        assert np.array(model.elbo_trace).tobytes() == np.array(want.elbo_trace).tobytes()
+        assert scores[k_star - 1] == (k_star, want.elbo_trace[-1], want.converged)
+        for name in bnmf.FactorModel._ARRAY_FIELDS:
+            got, expected = getattr(model, name), getattr(want, name)
+            assert got.shape == expected.shape, name
+            assert got.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("max_iters", [1, 300])
+    def test_unfinished_fit_holds_no_full_width_array(self, max_iters):
+        T = 200
+        X = zeroed(random_matrix(64, T=T, scale=5.0), some_columns(64, T))
+        swept = bnmf.fit(X, 3, bnmf.FitOptions(max_iters=max_iters, seed=64), finish=False)
+        assert swept.iterations == 1 if max_iters == 1 else swept.iterations > 1
+        # the start is what a one-sweep fit's allocation read on every column
+        assert (swept.start is not None) == (swept.iterations == 1)
+        widths = [
+            value.shape[-1] for value in vars(swept).values()
+            if isinstance(value, np.ndarray) and value.ndim > 1
+        ]
+        assert widths and max(widths) == X.any(axis=0).sum() < T
+
+    def test_peak_memory_is_about_the_kept_model(self):
+        """At 20000 steps with 54 data columns, each order's full-width
+        model cost select_order a peak of 3.0 times the kept model's array
+        bytes (8.66 against 2.88 MB), and finishing only the kept order 1.18
+        times; the bound, 2 times, lies between the two."""
+        cfg = register.RegisterConfig(horizon=20000, dim=3000, seed=1013)
+        X = register.observe(register.generate_input(cfg), cfg).values
+        assert X.shape == (2, 20000) and X.any(axis=0).sum() == 54
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        tracemalloc.reset_peak()
+        try:
+            _, model = bnmf.select_order(X, 1, 4, bnmf.FitOptions(300, 1e-6, 1013))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        kept = sum(getattr(model, name).nbytes for name in bnmf.FactorModel._ARRAY_FIELDS)
+        assert peak < 2 * kept, (peak, kept)
 
 
 class TestSerialization:

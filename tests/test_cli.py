@@ -507,12 +507,23 @@ class TestMain:
             ("model.json", "activations", lambda e: dict(e, cols=[True, *e["cols"][1:]])),
             ("model.json", "activations", lambda e: dict(e, cols=[float(c) for c in e["cols"]])),
             ("model.json", "activations", lambda e: dict(e, shape=[e["shape"][0], True])),
+            # a declared shape that its config does not give, refused before
+            # it is allocated
+            ("observation.json", "values", lambda e: dict(e, shape=[2, 10**15])),
+            ("observation.json", "values", lambda e: dict(e, shape=[2, e["shape"][1] + 1])),
+            ("ground_truth.json", "source_rows", lambda e: dict(e, shape=[2, 10**15])),
+            ("ground_truth.json", "input_weights", lambda e: dict(e, shape=[10**15])),
+            ("ground_truth.json", "residual_weights", lambda e: dict(e, shape=[1, 10**15])),
+            ("model.json", "activations",
+             lambda e: dict(e, shape=[e["shape"][0] + 1, e["shape"][1]])),
         ],
         ids=["gt-2d-weights", "gt-nan-weight", "gt-negative-residual",
              "model-nan-basis", "model-negative-activation", "model-fractional-K",
              "obs-negative-col", "obs-col-past-end", "obs-short-data",
              "gt-decreasing-cols", "gt-repeated-col", "gt-long-fill",
-             "model-bool-col", "model-float-cols", "model-bool-shape"],
+             "model-bool-col", "model-float-cols", "model-bool-shape",
+             "obs-huge-shape", "obs-wider-than-config", "gt-huge-sources",
+             "gt-huge-weights", "gt-2d-huge-residual", "model-rows-not-K"],
     )
     def test_damaged_artifact_values_exit_2(
         self, tmp_path, capsys, pipeline_out, name, key, value
