@@ -30,12 +30,18 @@ layout's parse, and still reads the dense layouts written before it.
 ``write_csv(header, rows, path)`` writes the bytes the standard ``csv``
 module's writer writes for rows of Python ints, floats and bools: each
 cell's ``repr`` (for these types the writer's own text, which needs no
-quoting), comma-separated, with CRLF line ends.  A cell may also be a 1-D
-float array, which stands for its items as Python floats, one cell each.
-A channel row of 20000 steps holds about 53 distinct values, so when at
-most half an array's values are distinct, each distinct value is
-formatted once, found by sorting the bits as above (so -0.0 and 0.0, and
-each NaN, keep their own text).
+quoting), comma-separated, with CRLF line ends.  A cell may also be a
+1-D float array, which stands for its items as Python floats, one cell
+each.  A channel row of 20000 steps is 0.0 outside 27 of them (at
+20000x3000), so when at most half an array's values are distinct the row
+is written from its structure: each distinct value is formatted once,
+found by sorting the bits as above (so -0.0 and 0.0, and each NaN, keep
+their own text), and each run of the row's most frequent value is that
+text repeated, one string multiplication a run.  Such a row costs its
+other items, not one string per step.  When more are distinct, each item
+is formatted alone.  The header may be handed over as its comma-joined
+text, as ``simulate`` hands over the channel files' 20001 names, built
+once.
 
 Both writers write each artifact to a new file: a file already at the
 path is removed first, never truncated.  Every stage rewrites
@@ -75,9 +81,14 @@ def write_json(doc, path: str | Path) -> None:
 
 
 def write_csv(header, rows, path: str | Path) -> None:
-    """Write the ``header`` names, then each row of numbers and float arrays, as CSV."""
+    """Write ``header``, then each row of numbers and float arrays, as CSV.
+
+    ``header`` is the column names, or their comma-joined text.
+    """
+    if not isinstance(header, str):
+        header = ",".join(header)
     with _create(path, newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(header + "\r\n")
         fh.writelines(map(_csv_line, rows))
 
 
@@ -113,24 +124,22 @@ def decode_columns(entry, name: str, expect: tuple | None = None) -> np.ndarray:
     ``shape`` alone, so ``expect`` is what bounds the allocation by the
     artifact's config.  The dense layouts load as before, sized by their
     file: a list, nested for a matrix, and ``{"shape", "data"}`` with the
-    items row-major.
+    items row-major; their shape is checked against ``expect`` once parsed.
     """
-    if not isinstance(entry, dict):
-        return np.asarray(entry, dtype=float)
-    if "cols" not in entry:
-        return np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
+    if not isinstance(entry, dict) or "cols" not in entry:
+        dense = (
+            np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
+            if isinstance(entry, dict) else np.asarray(entry, dtype=float)
+        )
+        _check_shape(name, list(dense.shape), expect)
+        return dense
     shape, cols = entry["shape"], entry["cols"]
     if not (
         isinstance(shape, list) and len(shape) in (1, 2)
         and all(type(n) is int and n >= 0 for n in shape)
     ):
         raise ValidationError(f"{name}: shape must list 1 or 2 sizes, got {shape!r}")
-    if expect is not None and not (
-        len(shape) == len(expect)
-        and all(e is None or n == e for n, e in zip(shape, expect))
-    ):
-        want = " x ".join("any" if e is None else str(e) for e in expect)
-        raise DimensionError(f"{name}: shape must be {want}, got {shape!r}")
+    _check_shape(name, shape, expect)
     R, T = (1, *shape) if len(shape) == 1 else shape
     # exact types: JSON's true is not a column index, nor 2.0
     if not (
@@ -155,6 +164,15 @@ def decode_columns(entry, name: str, expect: tuple | None = None) -> np.ndarray:
     return rows.reshape(shape)
 
 
+def _check_shape(name: str, shape: list, expect: tuple | None) -> None:
+    if expect is not None and not (
+        len(shape) == len(expect)
+        and all(e is None or n == e for n, e in zip(shape, expect))
+    ):
+        want = " x ".join("any" if e is None else str(e) for e in expect)
+        raise DimensionError(f"{name}: shape must be {want}, got {shape!r}")
+
+
 def _create(path: str | Path, newline: str | None = None):
     """A new text file at ``path``, open for writing; a file already there is removed first."""
     Path(path).unlink(missing_ok=True)
@@ -162,13 +180,14 @@ def _create(path: str | Path, newline: str | None = None):
 
 
 def _csv_line(row) -> str:
+    # each item's text and a comma; the row's last comma becomes its line end
     texts = []
     for cell in row:
         if isinstance(cell, np.ndarray):
-            texts += _distinct_texts(cell)
+            texts += _array_texts(cell)
         else:
-            texts.append(repr(cell))
-    return ",".join(texts) + "\r\n"
+            texts.append(repr(cell) + ",")
+    return "".join(texts)[:-1] + "\r\n"
 
 
 def _encode(o, level: int):
@@ -218,38 +237,51 @@ def _number_slices(o, join: str):
         yield json.dumps(o[i : i + _SLICE])[1:-1].replace(", ", join)
 
 
-def _distinct_texts(floats: np.ndarray) -> list[str]:
-    """The ``repr`` of each item of a 1-D float array, each distinct value formatted once.
+def _array_texts(cell: np.ndarray) -> list[str]:
+    """A 1-D float array's items as CSV text, a comma after each item, in pieces.
 
-    When more than half the values are distinct, a lookup costs more than
-    formatting each item, and each is formatted alone.
+    When at most half the values are distinct, each distinct value is
+    formatted once, and each run of the most frequent value (the least
+    such on a tie, as ``encode_columns`` picks its fill) is its text
+    repeated; so a row costs its other items, not its length.  When more
+    are distinct, a lookup costs more than formatting each item, and each
+    is formatted alone.
     """
+    floats = np.asarray(cell, dtype=float)
+    if not len(floats):
+        return []
     # keyed by the bits, so -0.0 and 0.0 (and each NaN) keep their own text;
     # a float64 array is viewed as it is, whatever its strides
-    bits = np.asarray(floats, dtype=float).view(np.int64)
-    ordered, starts = _runs(bits)
-    uniq = ordered[starts]
+    bits = floats.view(np.int64)
+    uniq, counts = _distinct(bits)
     if 2 * len(uniq) > len(bits):
-        return list(map(repr, floats.tolist()))
-    texts = np.array(list(map(repr, uniq.view(float).tolist())), dtype=object)
-    return texts[np.searchsorted(uniq, bits)].tolist()
+        return [",".join(map(repr, floats.tolist())) + ","]
+    texts = [text + "," for text in map(repr, uniq.view(float).tolist())]
+    most = np.argmax(counts)
+    fill = texts[most]
+    others = np.flatnonzero(bits != uniq[most])
+    # the run of fill before each other item, and the run that ends the row
+    runs = np.diff(others, prepend=-1, append=len(bits)) - 1
+    pieces = [""] * (2 * len(others) + 1)
+    pieces[::2] = [fill * run for run in runs.tolist()]
+    pieces[1::2] = [texts[i] for i in np.searchsorted(uniq, bits[others]).tolist()]
+    return pieces
 
 
-def _runs(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sorted ``bits`` and the mask of where each run of equal values starts.
+def _distinct(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``bits``, ascending, and how often each occurs.
 
-    The runs' starts are the distinct values: np.unique hashes first,
-    several times slower here.
+    Found by sorting: np.unique hashes first, several times slower here.
     """
     ordered = np.sort(bits)
     starts = np.empty(len(ordered), dtype=bool)
     starts[:1] = True
     np.not_equal(ordered[1:], ordered[:-1], out=starts[1:])
-    return ordered, starts
+    first = np.flatnonzero(starts)
+    return ordered[first], np.diff(first, append=len(ordered))
 
 
 def _most_frequent(bits: np.ndarray) -> int:
     """The most frequent of a nonempty row's float bits, the least such on a tie."""
-    ordered, starts = _runs(bits)
-    first = np.flatnonzero(starts)
-    return ordered[first[np.argmax(np.diff(first, append=len(ordered)))]]
+    uniq, counts = _distinct(bits)
+    return uniq[np.argmax(counts)]

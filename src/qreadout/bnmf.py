@@ -178,15 +178,16 @@ class FitResult:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "FitResult":
+    def from_dict(cls, d: dict, horizon: int | None = None) -> "FitResult":
         for key, kind in (("K", int), ("iterations", int), ("converged", bool)):
             # exact types: JSON's true is not an integer here, nor 2.0
             if type(d[key]) is not kind:
                 raise ValidationError(f"{key} must be {kind.__name__}, got {d[key]!r}")
+        # K bounds the bases' columns and the activations' rows; T has no
+        # reference in this file, and is checked against ``horizon`` if given
         return cls(
-            bases=decode_columns(d["bases"], "bases"),
-            # T has no reference in this file; K bounds the rows
-            activations=decode_columns(d["activations"], "activations", (d["K"], None)),
+            bases=decode_columns(d["bases"], "bases", (None, d["K"])),
+            activations=decode_columns(d["activations"], "activations", (d["K"], horizon)),
             K=d["K"],
             converged=d["converged"],
             iterations=d["iterations"],

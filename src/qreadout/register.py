@@ -342,16 +342,11 @@ def ground_truth_from_dict(doc: dict) -> tuple[GroundTruth, RegisterConfig]:
         "input_weights": (cfg.dim,),
         "residual_weights": (cfg.dim,),
     }
-    mismatch = f"does not match its config (horizon {cfg.horizon}, dim {cfg.dim})"
     try:
         arrays = {k: decode_columns(doc[k], k, v) for k, v in shapes.items()}
     except DimensionError as exc:
-        raise ConfigurationError(f"ground truth {mismatch}: {exc}") from exc
-    gt = GroundTruth(**arrays)
-    # a dense layout is sized by its file, and checked here once parsed
-    if gt.horizon != cfg.horizon or len(gt.input_weights) != cfg.dim:
         raise ConfigurationError(
-            f"ground truth of {gt.horizon} steps and {len(gt.input_weights)} components "
-            + mismatch
-        )
-    return gt, cfg
+            f"ground truth does not match its config (horizon {cfg.horizon}, "
+            f"dim {cfg.dim}): {exc}"
+        ) from exc
+    return GroundTruth(**arrays), cfg

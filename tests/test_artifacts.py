@@ -235,6 +235,60 @@ layout_arrays = st.integers(1, 12).flatmap(
 )
 
 
+# rows where the most frequent value's runs sit at the edges: a run that
+# starts or ends the row, a -0.0 fill beside 0.0 items (and the reverse), a
+# row of one item, and a row that is all one value
+FILL_RUNS = {
+    "run-starts": [0.0] * 5 + [1.5, 2.5, 1.5],
+    "run-ends": [1.5, 2.5, 1.5] + [0.0] * 5,
+    "runs-inside": [1.5, 0.0, 0.0, 2.5, 0.0, 0.0, 0.0, 1.5],
+    "negative-zero-fill": [-0.0, 0.0, -0.0, -0.0, 0.0, -0.0, 3.0, -0.0],
+    "zero-fill-beside-negative-zero": [0.0, -0.0, 0.0, 0.0, -0.0, 0.0],
+    "one-item": [0.25],
+    "all-fill": [float("nan")] * 4,
+}
+
+
+@pytest.mark.parametrize("floats", FILL_RUNS.values(), ids=FILL_RUNS.keys())
+def test_csv_fill_runs_match_csv_writer(tmp_path, floats):
+    # the array as the row's last, first and middle cell, and alone
+    array = np.array(floats)
+    path = tmp_path / "row.csv"
+    for handed, plain in [
+        ([3, array], [3, *floats]),
+        ([array, 3], [*floats, 3]),
+        ([1.5, array, -0.0, array], [1.5, *floats, -0.0, *floats]),
+        ([array], floats),
+    ]:
+        write_csv(["m"], [handed], path)
+        assert path.read_bytes() == csv_text(["m"], [plain]).encode(), handed
+
+
+def test_csv_array_cell_written_as_floats(tmp_path):
+    # an integer array stands for its items as floats, with many distinct
+    # values or few
+    path = tmp_path / "row.csv"
+    write_csv(["m"], [[np.array([1, 2, 3])], [np.array([1, 1, 1, 2])]], path)
+    assert path.read_bytes() == csv_text(["m"], [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 2.0]]).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    floats=st.lists(
+        st.one_of(layout_values, st.just(float("nan"))), min_size=0, max_size=40
+    ),
+    lead=st.booleans(),
+)
+def test_csv_float_rows_match_csv_writer(floats, lead, tmp_path_factory):
+    # rows of a few repeated values, so most take the repeated-run path
+    path = tmp_path_factory.getbasetemp() / "row.csv"
+    handed, plain = ([7, np.array(floats)], [7, *floats]) if lead else (
+        [np.array(floats)], floats
+    )
+    write_csv("m,x", [handed, handed], path)
+    assert path.read_bytes() == csv_text(["m", "x"], [plain, plain]).encode()
+
+
 @settings(max_examples=200, deadline=None)
 @given(array=layout_arrays)
 def test_column_layout_round_trips_bit_equal(array, tmp_path_factory):
@@ -380,3 +434,13 @@ def test_column_layout_of_another_shape_refused(expect):
 @pytest.mark.parametrize("expect", [(2, 5), (None, 5), (2, None), (None, None)], ids=repr)
 def test_column_layout_of_the_expected_shape_decoded(expect):
     assert decode_columns(LAYOUT, "values", expect).shape == (2, 5)
+
+
+@pytest.mark.parametrize(
+    "entry", [[[1.0, 2.0]], {"shape": [1, 2], "data": [1.0, 2.0]}], ids=["lists", "shape-data"]
+)
+def test_dense_layout_of_another_shape_refused(entry):
+    # sized by its file, and checked against the expected shape once parsed
+    assert decode_columns(entry, "values", (1, None)).shape == (1, 2)
+    with pytest.raises(DimensionError, match=r"^values: shape must be 1 x 3, got \[1, 2\]"):
+        decode_columns(entry, "values", (1, 3))

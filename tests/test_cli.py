@@ -324,6 +324,39 @@ class TestCsvArtifacts:
             assert float(s) == pytest.approx(10 * np.log10(float(d) + 1.0), abs=1e-12)
 
 
+    @pytest.mark.parametrize("horizon", [1, 9, 10, 11, 99, 100, 101])
+    def test_channel_header_names_each_step(self, tmp_path, horizon):
+        # the header text is formatted once; it reads as the step names
+        doc = config_doc(tmp_path, stage="simulate", register={"horizon": horizon, "dim": 1})
+        run_stage(tmp_path, "simulate", doc=doc)
+        names = ",".join(["m", *(f"t{t}" for t in range(horizon))]) + "\r\n"
+        for name in ("observation.csv", "ground_truth.csv"):
+            with open(tmp_path / "out" / name, newline="") as fh:
+                assert fh.readline() == names, name
+
+    def test_channel_csvs_match_csv_writer_at_benchmark_size(self, tmp_path):
+        # 20000 steps a row, about 50 of them off the row's fill value, whose
+        # runs are written as repeated text
+        horizon = 20000
+        register_doc = {"horizon": horizon, "dim": 3000, "residual_strength": 0.3}
+        doc = config_doc(tmp_path, stage="simulate", register=register_doc)
+        run_stage(tmp_path, "simulate", seed=1013, doc=doc)
+        out = tmp_path / "out"
+        obs = register.ObservationMatrix.from_dict(
+            json.loads((out / "observation.json").read_text())
+        )
+        gt, _ = register.ground_truth_from_dict(
+            json.loads((out / "ground_truth.json").read_text())
+        )
+        header = ["m", *(f"t{t}" for t in range(horizon))]
+        for name, rows in (("observation.csv", obs.values), ("ground_truth.csv", gt.source_rows)):
+            buffer = io.StringIO(newline="")
+            writer = csv.writer(buffer)
+            writer.writerow(header)
+            writer.writerows([m, *row.tolist()] for m, row in enumerate(rows))
+            assert (out / name).read_bytes() == buffer.getvalue().encode(), name
+
+
 class Unparsed(Exception):
     pass
 
@@ -593,6 +626,39 @@ class TestMain:
         payload = json.loads(err.strip())
         assert payload["error"] == "ValidationError"
         assert "partition.json" in payload["message"] and "model.json" in payload["message"]
+
+    @pytest.mark.parametrize("stage", ["partition", "recover", "verify"])
+    @pytest.mark.parametrize(
+        "key,damage",
+        [
+            ("activations", lambda e, T: dict(e, shape=[e["shape"][0], 10**15])),
+            ("activations", lambda e, T: {
+                "shape": [e["shape"][0], T + 1], "data": [1.0] * (e["shape"][0] * (T + 1)),
+            }),
+            ("bases", lambda e, T: {
+                "shape": [e["shape"][0], 10**15], "cols": [], "data": [],
+                "fill": [0.0] * e["shape"][0],
+            }),
+        ],
+        ids=["huge-activations", "dense-activations-one-wider", "huge-bases"],
+    )
+    def test_model_wider_than_its_register_exits_2(
+        self, tmp_path, capsys, pipeline_out, stage, key, damage
+    ):
+        # model.json holds no reference for the activations' width; each
+        # stage that reads it checks the width against the horizon of the
+        # register's artifacts, and the bases' against K, before a column
+        # layout is rebuilt at its declared size
+        doc = config_doc(tmp_path, stage=stage)
+        out = Path(doc["output_dir"])
+        shutil.copytree(pipeline_out, out)
+        art = json.loads((out / "model.json").read_text())
+        art[key] = damage(art[key], SMALL_REGISTER["horizon"])
+        (out / "model.json").write_text(json.dumps(art))
+        assert cli.main([stage, "--config", str(write_config(tmp_path, doc))]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert "model.json" in payload["message"] and key in payload["message"]
 
     @pytest.mark.parametrize("name,stage", [
         ("observation.json", "fit"), ("ground_truth.json", "verify"),
