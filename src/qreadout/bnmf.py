@@ -254,6 +254,12 @@ def _start(X: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, ...]:
     return a_shape, a_scale, b_shape, b_scale
 
 
+def _row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The sums over t of ``a * b``, one row at a time: bit-equal to
+    ``(a * b).sum(axis=1)``, with no K x T product."""
+    return np.array([np.add.reduce(ak * bk) for ak, bk in zip(a, b)])
+
+
 def update_eta(model: FactorModel, X) -> FactorModel:
     """Refresh the multinomial allocation from the current log means.
 
@@ -436,7 +442,8 @@ def _widen(data: np.ndarray, fill, cols: np.ndarray, T: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Swept:
-    """A fit whose sweeps have ended, before ``_finish`` builds its model.
+    """A fit whose sweeps have ended: ``_finish`` builds its model, and
+    ``result()`` its ``FitResult`` alone.
 
     ``K``, ``iterations``, ``converged`` and ``elbo_trace`` are the fit's
     record.  The activation arrays and ``eta`` hold the data columns
@@ -468,6 +475,24 @@ class _Swept:
     eta_scale: np.ndarray | None
     start: tuple | None
 
+    def full_activations(self) -> np.ndarray:
+        """The activation means at full width: on each all-zero column,
+        whose activation shape is 1, the scale ``b_scale``."""
+        if self.cols.size < self.T:
+            return _widen(self.activations, self.b_scale, self.cols, self.T)
+        return self.activations
+
+    def result(self) -> FitResult:
+        """The ``FitResult`` of the finished model, without finishing it."""
+        return FitResult(
+            bases=self.bases,
+            activations=self.full_activations(),
+            K=self.K,
+            converged=self.converged,
+            iterations=self.iterations,
+            elbo_trace=self.elbo_trace,
+        )
+
 
 def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     """Run the full variational loop until the bound stabilizes.
@@ -497,8 +522,8 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     once, on that final state: no update reads them.  With
     ``finish=False`` the unfinished state is returned instead, carrying
     ``K``, ``iterations``, ``converged`` and ``elbo_trace``;
-    ``select_order`` passes it so that it finishes only the order it
-    keeps, through the same finishing step.
+    ``select_order`` passes it, and takes only the kept order's
+    ``result()``, whose activations are widened as finishing widens them.
     """
     opts = opts or FitOptions()
     X = _as_observation(X)
@@ -525,7 +550,7 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     over_k = np.empty_like(x)  # the logits' max over k, then their exponentials' sum
     log_bases = special.psi(a_shape) + np.log(a_scale)
     log_activations = special.psi(take(b_shape)) + np.log(take(b_scale))
-    sum_w = (b_shape * b_scale).sum(axis=1)
+    sum_w = _row_sums(b_shape, b_scale)
     b_start = b_shape, b_scale  # what a one-sweep fit's allocation reads
     summed, peak = np.add.reduce, np.maximum.reduce
 
@@ -631,8 +656,7 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
 
 def _finish(s: _Swept) -> FactorModel:
     """The full-width model of a swept fit, with its control estimates."""
-    eta, activations = s.eta, s.activations
-    log_activations, b_shape = s.log_activations, s.b_shape
+    eta, log_activations, b_shape = s.eta, s.log_activations, s.b_shape
     if s.cols.size < s.T:
         if s.start is not None:  # one sweep, which read the start on every column
             eta = _eta(s.eta_bases, special.psi(s.start[0]) + np.log(s.start[1]))
@@ -642,11 +666,10 @@ def _finish(s: _Swept) -> FactorModel:
         log_activations = _widen(
             log_activations, special.psi(1.0) + np.log(s.b_scale), s.cols, s.T
         )
-        activations = _widen(activations, s.b_scale, s.cols, s.T)
         b_shape = _widen(b_shape, 1.0, s.cols, s.T)
     return update_control(FactorModel(
         bases=s.bases,
-        activations=activations,
+        activations=s.full_activations(),
         log_bases=s.log_bases,
         log_activations=log_activations,
         eta=eta,
@@ -691,10 +714,12 @@ def select_order(
     """Pick the basis count maximizing the converged lower bound.
 
     Fits every K in [k_min, k_max] with a seed derived per K, and returns
-    the argmax; ties resolve toward the smaller K.  Each fit's sweeps cost
-    time in the columns of X that hold data, and only the order returned
-    is finished into a full-width model, by the finishing step of
-    ``fit``: the model is the one ``fit`` returns at that order and seed.
+    the argmax and its ``FitResult``; ties resolve toward the smaller K.
+    Each fit's sweeps cost time in the columns of X that hold data.  The
+    result is ``fit(X, K, ...).result()`` at the kept order and its seed,
+    bit for bit, but no order's full-width model or control estimates are
+    built.  With ``with_trace`` the orders' ``(K, elbo, converged)``
+    scores come third.
     """
     opts = opts or FitOptions()
     if not 1 <= k_min <= k_max:
@@ -713,7 +738,7 @@ def select_order(
         scores.append((K, elbo, swept.converged))
         if best is None or elbo > best.elbo_trace[-1]:
             best = swept
-    model = _finish(best)
+    result = best.result()
     if with_trace:
-        return best.K, model, scores
-    return best.K, model
+        return best.K, result, scores
+    return best.K, result

@@ -328,8 +328,8 @@ def _load(cfg: RunConfig, record: RunRecord, name: str, *args):
     """The value of artifact ``name``: kept if this run wrote it, else read from its file.
 
     ``args`` follow the parsed JSON into the file's parser.  A missing
-    file, or one whose text or values its parser refuses, is a validation
-    failure that names it.
+    file, or one whose text or values its parser refuses or cannot hold
+    in memory, is a validation failure that names it.
     """
     if name in record.written:
         return record.written[name]
@@ -341,9 +341,12 @@ def _load(cfg: RunConfig, record: RunRecord, name: str, *args):
         with open(path) as fh:
             return parse(json.load(fh), *args)
     # the parsers' own checks raise ValueError subclasses; nesting past the
-    # recursion limit raises RecursionError, and an integer past the float
-    # range where a float belongs OverflowError
-    except (ValueError, KeyError, TypeError, RecursionError, OverflowError) as exc:
+    # recursion limit raises RecursionError, an integer past the float
+    # range where a float belongs OverflowError, and a declared shape too
+    # large to allocate (a config's horizon agreeing with it) MemoryError
+    except (
+        ValueError, KeyError, TypeError, RecursionError, OverflowError, MemoryError
+    ) as exc:
         raise ValidationError(
             f"malformed artifact {name} ({type(exc).__name__}: {exc}); "
             f"rerun the {producer} stage"
@@ -369,7 +372,6 @@ def _stage_fit(cfg: RunConfig, record: RunRecord) -> None:
     k_star, model, scores = bnmf.select_order(
         obs.values, k_min, k_max, cfg.factorization, with_trace=True
     )
-    model = model.result()
 
     _save(cfg, record, "model.json", model.to_dict(), model)
     trace = enumerate(model.elbo_trace, start=1)

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
+from .artifacts import _most_frequent
 from .errors import DimensionError, StateError, ValidationError
 from .register import NUM_SOURCES
 from .transforms import cqt
@@ -147,6 +148,16 @@ def fit_partition(
     passed as ``init_bases`` / ``init_activations``, E and H start there
     (with R near identity), which pins the decomposition's basis axis to
     the factorization's basis index instead of an arbitrary relabeling.
+
+    With ``init_activations``, the columns where every row of S and of the
+    start H holds that row's most frequent value (compared by bits) are
+    folded: an H update acts on each column alone, so those columns stay
+    equal, and the first of them stands for all, weighted by their count
+    in every sum over t (the cost, the mass, and the R and E updates).
+    At 20000x3000 that is 19946 of 20000 columns.  H is widened back to
+    1 x K x T at the end.  The fold moves the last bits of the sums; with
+    at most one such column every weight is 1 and the fit is the
+    full-width one bit for bit.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
@@ -161,37 +172,59 @@ def fit_partition(
     scale = np.sqrt(S.mean() + EPS)
     R = rng.uniform(0.5, 1.5, size=(M, 1, M)) * scale
     E = rng.uniform(0.5, 1.5, size=(M, K)) * scale
-    H = rng.uniform(0.5, 1.5, size=(1, K, T)) * scale
     if init_bases is not None:
         E = np.maximum(np.abs(np.asarray(init_bases, dtype=float)), EPS)
         if E.shape != (M, K):
             raise DimensionError(f"init_bases must be {M} x {K}, got {E.shape}")
         R = np.full((M, 1, M), EPS)
         R[np.arange(M), 0, np.arange(M)] = 1.0
-    if init_activations is not None:
+    # the last draw, so skipping it where the start overwrites it leaves
+    # every other draw as it was
+    if init_activations is None:
+        H = rng.uniform(0.5, 1.5, size=(1, K, T)) * scale
+    else:
         H = np.maximum(np.asarray(init_activations, dtype=float), EPS).reshape(1, K, T)
+
+    # each column's weight in the sums over t, and where a folded fit's
+    # columns widen back to (None when nothing is folded)
+    w, columns = np.ones(T), None
+    if init_activations is not None and T > 1:
+        repeated = _repeated_columns(S, H[0])
+        count = int(repeated.sum())
+        if count > 1:
+            first = int(np.argmax(repeated))
+            keep = ~repeated
+            keep[first] = True
+            columns = np.cumsum(keep) - 1
+            columns[repeated] = columns[first]
+            S, H = np.compress(keep, S, axis=1), np.compress(keep, H, axis=2)
+            w = np.ones(S.shape[1])
+            w[columns[first]] = count
 
     def model_matrix() -> np.ndarray:
         return np.maximum(np.einsum("iam,ik,akt->mt", R, E, H), EPS)
 
     def kl_cost(lam: np.ndarray) -> float:
-        return float(np.sum(special.xlogy(S, S / lam) - S + lam))
+        return float(np.sum((special.xlogy(S, S / lam) - S + lam) * w))
 
-    mass = max(float(S.sum()), EPS)
+    # a weight of 1 multiplies exactly, so an unfolded fit's sums are the
+    # full-width ones
+    mass = max(float((S * w).sum()), EPS)
     trace = [kl_cost(model_matrix())]
     converged = False
     for sweep in range(1, max_iters + 1):
+        h_w = H * w
         lam = model_matrix()
-        ratio = S / lam
+        ratio = S / lam * w
         num = np.einsum("ik,akt,mt->iam", E, H, ratio)
-        den = np.maximum(np.einsum("ik,akt->ia", E, H), EPS)[:, :, None]
+        den = np.maximum(np.einsum("ik,akt->ia", E, h_w), EPS)[:, :, None]
         R = R * num / den
 
         lam = model_matrix()
-        ratio = S / lam
+        ratio = S / lam * w
         num = np.einsum("iam,akt,mt->ik", R, H, ratio)
         den = np.maximum(
-            R.sum(axis=(1, 2))[:, None] * H[0].sum(axis=1)[None, :], EPS
+            R.sum(axis=(1, 2))[:, None] * h_w[0].sum(axis=1)[None, :], EPS
         )
         E = E * num / den
 
@@ -211,11 +244,21 @@ def fit_partition(
     return PartitionTensors(
         R=R,
         E=E,
-        H=H,
+        H=H if columns is None else np.take(H, columns, axis=2),
         converged=converged,
         iterations=len(trace) - 1,
         cost_trace=tuple(trace),
     )
+
+
+def _repeated_columns(S: np.ndarray, H: np.ndarray) -> np.ndarray:
+    """Mask of the columns where every row of S and of H holds its row's
+    most frequent value, compared by bits."""
+    repeated = np.ones(S.shape[1], dtype=bool)
+    for row in (*S, *H):
+        bits = np.ascontiguousarray(row).view(np.int64)
+        repeated &= bits == _most_frequent(bits)
+    return repeated
 
 
 def assign(t: PartitionTensors) -> BasisPartition:

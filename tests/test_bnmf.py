@@ -491,6 +491,23 @@ class TestFitMatchesStepFunctions:
         for name in bnmf.FactorModel._ARRAY_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
+    def test_row_sums_match_the_axis_sum(self):
+        # the start's activation sums, row by row, are the K x T product's
+        # axis-1 sums bit for bit: every width through 1024, which holds each
+        # of numpy's pairwise-summation paths, and the widths around 8192,
+        # 16384 and up to the benchmark's 20000 steps
+        rng = np.random.default_rng(54)
+        shape = 1.0 + rng.uniform(0.0, 0.05, size=(5, 20001))
+        scale = rng.uniform(0.9, 1.1, size=(5, 20001)) * rng.uniform(1e-3, 10.0, 20001)
+        widths = [*range(1, 1025), *range(8184, 8201), *range(16376, 16393),
+                  *range(19937, 20002)]
+        for T in widths:
+            for K in range(1, 6):
+                a = np.ascontiguousarray(shape[:K, :T])
+                b = np.ascontiguousarray(scale[:K, :T])
+                got, want = bnmf._row_sums(a, b), (a * b).sum(axis=1)
+                assert got.tobytes() == want.tobytes(), (K, T)
+
     def test_entropy_sum_matches_gamma_entropy_at_tiny_scales(self):
         # scales as small as a fit on a very large input reaches go through
         # log(scale) on both sides, with no floor
@@ -513,6 +530,18 @@ class TestFitMatchesStepFunctions:
         assert np.all(np.diff(trace) >= -1e-8 * np.abs(trace[:-1]))
         # the widened state scores what its last sweep scored
         assert bnmf.lower_bound(m, X) == pytest.approx(trace[-1], rel=1e-12)
+
+    @pytest.mark.parametrize("max_iters", [1, 300])
+    def test_empty_columns_hold_the_activation_scale(self, max_iters):
+        # an all-zero column's activation shape is exactly 1, so its mean is
+        # exactly the activation scale
+        X = zeroed(random_matrix(41, M=2, T=120, scale=5.0), some_columns(41, 120))
+        empty = ~X.any(axis=0)
+        m = bnmf.fit(X, 3, bnmf.FitOptions(max_iters=max_iters, seed=41))
+        assert empty.any()
+        assert m.iterations == 1 if max_iters == 1 else m.iterations > 1
+        assert (m.b_shape[:, empty] == 1.0).all()
+        assert (m.activations[:, empty] == m.b_scale).all()
 
     def test_returned_state_is_last_sweep(self):
         for seed in range(5):
@@ -571,16 +600,19 @@ class TestSelectOrder:
         ids=["data-columns", "empty-columns", "one-sweep-empty-columns", "all-zero"],
     )
     def test_returned_model_is_the_fit_at_the_kept_order(self, X, opts):
-        # only the kept order is finished, by fit's own finishing step
-        k_star, model, scores = bnmf.select_order(X, 1, 4, opts, with_trace=True)
+        # the kept order's FitResult, built with no full-width model, is the
+        # finished fit's at that order and seed
+        k_star, result, scores = bnmf.select_order(X, 1, 4, opts, with_trace=True)
+        assert isinstance(result, bnmf.FitResult)
         entropy = np.random.SeedSequence(entropy=(opts.seed, k_star))
-        want = bnmf.fit(X, k_star, replace(opts, seed=int(entropy.generate_state(1)[0])))
-        assert model.K == want.K == k_star
-        assert (model.iterations, model.converged) == (want.iterations, want.converged)
-        assert np.array(model.elbo_trace).tobytes() == np.array(want.elbo_trace).tobytes()
+        child = replace(opts, seed=int(entropy.generate_state(1)[0]))
+        want = bnmf.fit(X, k_star, child).result()
+        assert result.K == want.K == k_star
+        assert (result.iterations, result.converged) == (want.iterations, want.converged)
+        assert np.array(result.elbo_trace).tobytes() == np.array(want.elbo_trace).tobytes()
         assert scores[k_star - 1] == (k_star, want.elbo_trace[-1], want.converged)
-        for name in bnmf.FactorModel._ARRAY_FIELDS:
-            got, expected = getattr(model, name), getattr(want, name)
+        for name in ("bases", "activations"):
+            got, expected = getattr(result, name), getattr(want, name)
             assert got.shape == expected.shape, name
             assert got.tobytes() == expected.tobytes(), name
 
@@ -599,10 +631,13 @@ class TestSelectOrder:
         assert widths and max(widths) == X.any(axis=0).sum() < T
 
     def test_peak_memory_is_about_the_kept_model(self):
-        """At 20000 steps with 54 data columns, each order's full-width
-        model cost select_order a peak of 3.0 times the kept model's array
-        bytes (8.66 against 2.88 MB), and finishing only the kept order 1.18
-        times; the bound, 2 times, lies between the two."""
+        """At 20000 steps with 54 data columns (K* 3), finishing the kept
+        order into a full-width model cost select_order a peak of 7.06
+        times the returned result's array bytes (3.39 against 0.48 MB).
+        Returning the result with no model built, and summing the start's
+        activations row by row, leaves 3.06 times (1.47 MB): mostly the
+        K = 4 fit's two K x T start arrays.  The bound, 4 times, lies
+        between the two."""
         cfg = register.RegisterConfig(horizon=20000, dim=3000, seed=1013)
         X = register.observe(register.generate_input(cfg), cfg).values
         assert X.shape == (2, 20000) and X.any(axis=0).sum() == 54
@@ -610,13 +645,14 @@ class TestSelectOrder:
         tracemalloc.start()
         tracemalloc.reset_peak()
         try:
-            _, model = bnmf.select_order(X, 1, 4, bnmf.FitOptions(300, 1e-6, 1013))
+            _, result = bnmf.select_order(X, 1, 4, bnmf.FitOptions(300, 1e-6, 1013))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             if not tracing:
                 tracemalloc.stop()
-        kept = sum(getattr(model, name).nbytes for name in bnmf.FactorModel._ARRAY_FIELDS)
-        assert peak < 2 * kept, (peak, kept)
+        kept = result.bases.nbytes + result.activations.nbytes
+        assert result.K == 3
+        assert peak < 4 * kept, (peak, kept)
 
 
 class TestSerialization:

@@ -600,6 +600,28 @@ class TestMain:
         assert payload["error"] == "ValidationError"
         assert "observation.json" in payload["message"] and "OverflowError" in payload["message"]
 
+    @pytest.mark.parametrize(
+        "name,key,stage",
+        [("observation.json", "values", "fit"), ("ground_truth.json", "source_rows", "recover")],
+    )
+    def test_shape_too_large_to_allocate_exits_2(
+        self, tmp_path, capsys, pipeline_out, name, key, stage
+    ):
+        # a horizon of 10**15 in the artifact's own config agrees with its
+        # declared shape, so the layout passes its checks and numpy refuses
+        # the 14 PiB rows at once, with MemoryError; that was a traceback
+        doc = config_doc(tmp_path, stage=stage)
+        out = Path(doc["output_dir"])
+        shutil.copytree(pipeline_out, out)
+        art = json.loads((out / name).read_text())
+        art["config"]["horizon"] = 10**15
+        art[key] = {"shape": [2, 10**15], "cols": [], "data": [], "fill": [0, 0]}
+        (out / name).write_text(json.dumps(art))
+        assert cli.main([stage, "--config", str(write_config(tmp_path, doc))]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert name in payload["message"] and "MemoryError" in payload["message"]
+
     @pytest.mark.parametrize("stage", ["recover", "verify"])
     @pytest.mark.parametrize(
         "assignment",
