@@ -186,6 +186,9 @@ def _csv_line(row) -> str:
         if isinstance(cell, np.ndarray):
             texts += _array_texts(cell)
         else:
+            if isinstance(cell, np.generic):
+                # numpy 2 writes np.float64(1.5) as its repr; the number is 1.5
+                cell = cell.item()
             texts.append(repr(cell) + ",")
     return "".join(texts)[:-1] + "\r\n"
 

@@ -19,6 +19,21 @@ activation scale), and its share of each sum over time is one constant
 per basis times the number of such columns.  That moves the last bits
 of a fit with all-zero columns against the full-width step functions
 below; a fit with none is bit-identical to them.
+
+``fit`` scores each sweep by the bound in collapsed form.  After the Gamma
+step the shapes are a = 1 + kappa_u and b = 1 + kappa_w, and the scales
+s_k = 1 / (sum_t E w_kt + r_u) and q_k = 1 / (sum_m E u_mk + r_w) for the
+prior rates r_u and r_w.  The log means' cross terms then cancel the
+entropies' digamma terms, since kappa - (shape - 1) = 0, and the
+reconstruction cancels the activation prior's means, since E w = b q.
+With c_k the counts allocated to basis k, the bound is
+
+    data - alloc + sum_k [(log s_k + 1 - r_u s_k)(M + c_k) + (T + c_k) log q_k]
+        + K (M log r_u + T log r_w) + sum log Gamma(a) + sum log Gamma(b),
+
+equal to ``lower_bound`` at the same state up to rounding (within 1e-12
+relative; its sums run in another order).  ``lower_bound`` stays the
+reference, valid at any state.
 """
 
 from __future__ import annotations
@@ -498,23 +513,26 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     """Run the full variational loop until the bound stabilizes.
 
     A sweep is allocation update, Gamma updates, then the bound: the
-    arithmetic of ``update_eta``, ``update_variational`` and
-    ``lower_bound``, with the same operations in the same order, fused
-    into one pass over plain arrays.  The expected-count sums are shared
-    by the Gamma step and the bound; the M x K x T allocation and expected
-    counts are computed in place in two buffers allocated per fit, and
-    the returned model keeps the allocation one.  Every per-column
-    quantity is computed on the columns of X that hold data only.  An
-    all-zero column gets no counts, so its activation shape is exactly 1
-    and its mean the activation scale; its terms in the sums over time are
-    folded into one constant per basis, times the number of such columns.
-    The first sweep is the exception: it reads the random start on every
-    column.  With no all-zero column this is the plain full-width sweep,
-    bit-identical to the step functions.  Stops when the relative bound
-    change drops below ``opts.tol`` or after ``opts.max_iters`` sweeps; a
-    non-converged model is returned flagged, not raised.  An all-zero
-    observation short-circuits after the first sweep since there is no
-    mass to allocate.
+    arithmetic of ``update_eta`` and ``update_variational``, with the same
+    operations in the same order, fused into one pass over plain arrays,
+    and the bound in the collapsed form of the module docstring, which
+    needs no reconstruction and no digamma of its own: the allocation
+    term, the log Gamma sums of the shapes and a few numbers per basis.
+    The expected-count sums are shared by the Gamma step and the bound;
+    the M x K x T allocation and expected counts are computed in place in
+    two buffers allocated per fit, and the returned model keeps the
+    allocation one.  Every per-column quantity is computed on the columns
+    of X that hold data only.  An all-zero column gets no counts, so its
+    activation shape is exactly 1 and its mean the activation scale; its
+    terms in the sums over time are folded into one constant per basis,
+    times the number of such columns.  The first sweep is the exception:
+    it reads the random start on every column.  With no all-zero column
+    this is the plain full-width sweep, whose arrays are bit-identical to
+    the step functions'.  Stops when the relative bound change drops below
+    ``opts.tol`` or after ``opts.max_iters`` sweeps; a non-converged model
+    is returned flagged, not raised.  An all-zero observation
+    short-circuits after the first sweep since there is no mass to
+    allocate.
 
     The sweeps end in an unfinished state on the data columns.  Finishing
     it builds the full-width model, whose allocation comes from the log
@@ -531,8 +549,7 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     rate_u, rate_w = FactorModel.prior_rate_u, FactorModel.prior_rate_w
     if not (rate_u > 0 and rate_w > 0):
         raise NumericalDomainError("prior rates must be positive for the bound")
-    log_rate_u, log_rate_w = np.log(rate_u), np.log(rate_w)
-    T = X.shape[1]
+    M, T = X.shape
     cols = np.flatnonzero(X.any(axis=0))
     n0 = T - cols.size
     where = cols if n0 else None
@@ -543,7 +560,11 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
         return np.take(arr, cols, axis=1) if n0 else arr
 
     x = take(X)
-    data = -float(special.gammaln(x + 1.0).sum())
+    # the bound's terms that no sweep changes: the data term and the
+    # priors' log rates
+    fixed = -float(special.gammaln(x + 1.0).sum()) + K * (
+        M * math.log(rate_u) + T * math.log(rate_w)
+    )
     x = x[:, None, :]  # broadcasts against eta
     eta = np.empty((x.shape[0], K, x.shape[2]))  # the logits, then eta
     e_kappa = np.empty_like(eta)  # then the allocation term
@@ -591,9 +612,8 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
         a_psi, a_log_scale = special.psi(a_shape), np.log(a_scale)
         bases = np.multiply(a_shape, a_scale)
         log_bases = np.add(a_psi, a_log_scale)
-        b_denom = np.add(summed(bases, axis=0)[:, None], rate_w)
         b_shape = np.add(1.0, kappa_w)
-        b_scale = np.divide(1.0, b_denom)
+        b_scale = np.divide(1.0, np.add(summed(bases, axis=0)[:, None], rate_w))
         b_psi, b_log_scale = special.psi(b_shape), np.log(b_scale)
         activations = np.multiply(b_shape, b_scale)
         log_activations = np.add(b_psi, b_log_scale)
@@ -601,23 +621,20 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
         if n0:
             sum_w += n0 * b_scale[:, 0]
 
-        # lower_bound
-        recon = float(summed(np.matmul(bases, activations), axis=None))
-        cross_u = float(summed(np.multiply(log_bases, kappa_u, out=kappa_u), axis=None))
-        cross_w = float(summed(np.multiply(log_activations, kappa_w, out=kappa_w), axis=None))
-        prior_u = _prior_sum(bases, rate_u, log_rate_u)
-        prior_w = _prior_sum(activations, rate_w, log_rate_w)
-        ent_u = _entropy_sum(a_shape, a_psi, a_log_scale)
-        ent_w = _entropy_sum(b_shape, b_psi, b_log_scale)
+        # lower_bound, collapsed (see the module docstring): with c_k the
+        # counts allocated to basis k, the log Gamma sums and one term per
+        # basis, in plain floats.  An all-zero column's b is 1, so its
+        # log Gamma is 0 and it counts in T alone
+        counts = summed(kappa_u, axis=0).tolist()
         elbo = (
-            -recon + (data - alloc) + cross_u + cross_w + prior_u + prior_w
-            + ent_u + ent_w
+            fixed - alloc
+            + float(summed(special.gammaln(a_shape, out=kappa_u), axis=None))
+            + float(summed(special.gammaln(b_shape, out=kappa_w), axis=None))
         )
-        if n0:
-            # an empty column's recon, prior and entropy terms; its cross and
-            # allocation terms are 0, and so are (shape - 1) psi and log Gamma(1)
-            empty = log_rate_w + b_log_scale[:, 0] + 1.0 - b_denom[:, 0] * b_scale[:, 0]
-            elbo += n0 * float(empty.sum())
+        for c, s, log_s, log_q in zip(
+            counts, a_scale[0].tolist(), a_log_scale[0].tolist(), b_log_scale[:, 0].tolist()
+        ):
+            elbo += (log_s + 1.0 - rate_u * s) * (M + c) + (T + c) * log_q
         if not math.isfinite(elbo):
             raise _bound_error()
 
@@ -684,24 +701,6 @@ def _finish(s: _Swept) -> FactorModel:
         iterations=s.iterations,
         elbo_trace=s.elbo_trace,
     ))
-
-
-def _prior_sum(mean: np.ndarray, rate: float, log_rate: float) -> float:
-    """Sum of log(rate) - rate * mean, the prior term of ``lower_bound``."""
-    prior = np.multiply(mean, rate)
-    return float(np.add.reduce(np.subtract(log_rate, prior, out=prior), axis=None))
-
-
-def _entropy_sum(shape: np.ndarray, psi: np.ndarray, log_scale: np.ndarray) -> float:
-    """Sum of ``_gamma_entropy``'s items, built in place from ``psi`` =
-    psi(shape) and ``log_scale`` = log(scale); overwrites ``psi``.
-    1 - shape is exactly -(shape - 1)."""
-    ent = np.subtract(1.0, shape)
-    ent *= psi
-    ent += log_scale
-    ent += shape
-    ent += special.gammaln(shape, out=psi)
-    return float(np.add.reduce(ent, axis=None))
 
 
 def select_order(

@@ -272,6 +272,17 @@ def test_csv_array_cell_written_as_floats(tmp_path):
     assert path.read_bytes() == csv_text(["m"], [[1.0, 2.0, 3.0], [1.0, 1.0, 1.0, 2.0]]).encode()
 
 
+def test_csv_numpy_scalar_cells_written_as_their_numbers(tmp_path):
+    # a numpy scalar cell is written as the Python number it holds; its
+    # repr under numpy 2 (np.float64(1.5), np.True_) is no CSV number
+    path = tmp_path / "row.csv"
+    row = [np.int64(2), np.float64(1.5), np.True_, np.float32(0.25), np.float64(-0.0),
+           np.float64("nan"), np.uint8(7), np.bool_(False)]
+    plain = [2, 1.5, True, 0.25, -0.0, float("nan"), 7, False]
+    write_csv(["i", "x"], [row, [np.float64(2.5), np.arange(3.0)]], path)
+    assert path.read_bytes() == csv_text(["i", "x"], [plain, [2.5, 0.0, 1.0, 2.0]]).encode()
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     floats=st.lists(
