@@ -54,7 +54,7 @@ EPS = 1e-12  # floor for denominators and log arguments
 
 @dataclass(frozen=True)
 class FitOptions:
-    """Iteration controls of a fit: the factorization's, and the partition's."""
+    """Iteration controls of a fit; a config's partition section is checked as one."""
 
     max_iters: int = 500
     tol: float = 1e-6
@@ -461,7 +461,8 @@ class _Swept:
     ``result()`` its ``FitResult`` alone.
 
     ``K``, ``iterations``, ``converged`` and ``elbo_trace`` are the fit's
-    record.  The activation arrays and ``eta`` hold the data columns
+    record, and ``rate_u`` and ``rate_w`` the prior rates its sweeps read.
+    The activation arrays and ``eta`` hold the data columns
     ``cols`` of a ``T``-column observation only.  The last sweep's
     allocation read the basis log means ``eta_bases``, and on the all-zero
     columns the activation scale ``eta_scale`` after two or more sweeps,
@@ -475,6 +476,8 @@ class _Swept:
     iterations: int
     converged: bool
     elbo_trace: tuple
+    rate_u: float
+    rate_w: float
     T: int
     cols: np.ndarray
     bases: np.ndarray
@@ -653,6 +656,8 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
         iterations=len(trace),
         converged=converged,
         elbo_trace=tuple(trace),
+        rate_u=rate_u,
+        rate_w=rate_w,
         T=T,
         cols=cols,
         bases=bases,
@@ -697,6 +702,8 @@ def _finish(s: _Swept) -> FactorModel:
         ctrl_alpha=None,  # both set by update_control
         ctrl_beta=None,
         K=s.K,
+        prior_rate_u=s.rate_u,
+        prior_rate_w=s.rate_w,
         converged=s.converged,
         iterations=s.iterations,
         elbo_trace=s.elbo_trace,

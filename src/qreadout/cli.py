@@ -74,7 +74,6 @@ class RunConfig:
     register: register.RegisterConfig = field(init=False)
     factorization: bnmf.FitOptions = field(init=False)
     orders: tuple[int, int] = field(init=False)
-    partition: bnmf.FitOptions = field(init=False)
     transform: int = field(init=False)
     k1: int | None = field(init=False)
     sweep: tuple[float, list] = field(init=False)
@@ -87,7 +86,6 @@ class RunConfig:
         self.output_dir = Path(values["output_dir"])
         self.register = values["register"]
         self.factorization, self.orders = values["factorization"]
-        self.partition = values["partition"]
         self.transform = values["transform"]
         self.k1 = values["recovery"]
         self.sweep = values["sweep"]
@@ -220,7 +218,9 @@ def _sweep(sec: dict, seed: int) -> tuple[float, list]:
     return r_sx, deltas
 
 
-# each section's builder, called with the section over its defaults and the run seed
+# each section's builder, called with the section over its defaults and the run
+# seed.  No stage reads the partition section; it is still checked, so that
+# documents holding it run unchanged
 _SECTIONS = {
     "register": _register,
     "factorization": _factorization,
@@ -394,24 +394,9 @@ def _stage_partition(cfg: RunConfig, record: RunRecord) -> None:
             f"K={K} below the cluster count; all bases assigned to the target cluster"
         )
     else:
-        c_b = part_mod.transform_bases(model, cfg.transform)
-        S = np.abs(c_b @ model.activations)
-        tensors = part_mod.fit_partition(
-            S,
-            K,
-            max_iters=cfg.partition.max_iters,
-            tol=cfg.partition.tol,
-            init_bases=np.abs(c_b),
-            init_activations=model.activations,
-        )
-        part = part_mod.assign(tensors)
-        per_source, total = part_mod.score(tensors)
-        header = ["k", *(f"q{m + 1}" for m in range(per_source.shape[0])), "q_total"]
-        columns = enumerate(zip(per_source.T.tolist(), total.tolist()))
-        rows = ([k, *q, q_total] for k, (q, q_total) in columns)
-        _save_csv(cfg, record, "scores", "scores.csv", header, rows)
-        if not tensors.converged:
-            record.notes.append("partition decomposition did not converge")
+        # the constant-Q transform scales each basis alone, so the bases'
+        # argmax is the transformed bases' (see the partition module)
+        part = part_mod.BasisPartition.from_scores(model.bases)
 
     _save(cfg, record, "partition.json", part.to_dict(), part)
 
@@ -542,9 +527,10 @@ _READS = {
 
 # each stage: its function and every file it may write besides run.json.
 # run() removes those files before the stage runs, so a rerun into a used
-# directory keeps none that this run does not write (scores.csv exists only
-# at K >= 2, clustered_bases.json and prob_table.csv only with a nonempty
-# target cluster)
+# directory keeps none that this run does not write (clustered_bases.json and
+# prob_table.csv exist only with a nonempty target cluster).  The partition
+# stage's first name is the score table an earlier version wrote, removed so
+# that no partitioning over such a directory keeps it
 _WRITES = {
     "simulate": (_stage_simulate, (
         "ground_truth.json", "ground_truth.csv", "observation.csv", "observation.json",

@@ -1,11 +1,15 @@
-"""Basis partitioning via a nonnegative three-tensor decomposition.
+"""Basis partitioning: each learned basis joins one of the source clusters.
 
-The transformed basis-activation product S (an M x T nonnegative matrix)
-is decomposed into a translation tensor R (M x 1 x M), a basis tensor E
-(M x K) and an activation tensor H (1 x K x T).  The contraction sums the
-shared source axis of R and E and then the shared basis axis with H.
-Per-basis, per-source scores from the restricted contraction drive the
-assignment of each basis to one of the ``NUM_SOURCES`` source clusters.
+The partition stage assigns each basis to its largest source row of the
+bases (``BasisPartition.from_scores``).  The unit-window constant-Q
+transform the readout applies scales basis k alone, |C_B[m, k]| = |c_k|
+B[m, k], so the transformed bases assign alike.  The nonnegative
+decomposition it stands for stays as library code: S (M x T) as the
+contraction of a translation tensor R (M x 1 x M), a basis tensor E
+(M x K) and an activation tensor H (1 x K x T), over the shared source
+axis of R and E and then the basis axis with H.  Started at the
+transformed bases and the activations, its per-source scores assign as
+the bases' argmax does, and the tests keep it as that rule's oracle.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .artifacts import _most_frequent
 from .errors import DimensionError, StateError, ValidationError
 from .register import NUM_SOURCES
 from .transforms import cqt
@@ -88,13 +91,35 @@ class BasisPartition:
             degenerate=tuple(d.get("degenerate", ())),
         )
 
+    @classmethod
+    def from_scores(cls, scores) -> "BasisPartition":
+        """Assign every basis k to the cluster of its largest score in ``scores[:, k]``.
+
+        Ties break toward the smaller cluster index; an all-zero score
+        column goes to cluster 1 and is reported in ``degenerate``.  The
+        scores must have ``NUM_SOURCES`` rows, one per cluster.
+        """
+        scores = np.asarray(scores, dtype=float)
+        if scores.shape[0] != NUM_SOURCES:
+            raise DimensionError(
+                f"assignment needs {NUM_SOURCES} sources, got M={scores.shape[0]}"
+            )
+        degenerate = tuple(np.flatnonzero(~scores.any(axis=0)).tolist())
+        if degenerate:
+            warnings.warn(
+                f"bases {list(degenerate)} have all-zero scores; assigned to cluster 1",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        return cls(assignment=np.argmax(scores, axis=0) + 1, degenerate=degenerate)
+
 
 def transform_bases(model, k: int = 0) -> np.ndarray:
     """Constant-Q-transform the learned bases.
 
     Each row of the basis matrix is treated as a register of K amplitudes
     and modulated by the transform; returns the complex M x K matrix C_B.
-    The partition input is the magnitude of C_B @ activations.
+    ``fit_partition``'s input is the magnitude of C_B @ activations.
     """
     if not getattr(model, "iterations", 0):
         raise StateError("transform_bases requires a fitted model")
@@ -148,16 +173,6 @@ def fit_partition(
     passed as ``init_bases`` / ``init_activations``, E and H start there
     (with R near identity), which pins the decomposition's basis axis to
     the factorization's basis index instead of an arbitrary relabeling.
-
-    With ``init_activations``, the columns where every row of S and of the
-    start H holds that row's most frequent value (compared by bits) are
-    folded: an H update acts on each column alone, so those columns stay
-    equal, and the first of them stands for all, weighted by their count
-    in every sum over t (the cost, the mass, and the R and E updates).
-    At 20000x3000 that is 19946 of 20000 columns.  H is widened back to
-    1 x K x T at the end.  The fold moves the last bits of the sums; with
-    at most one such column every weight is 1 and the fit is the
-    full-width one bit for bit.
     """
     S = np.asarray(S, dtype=float)
     if S.ndim != 2:
@@ -185,46 +200,27 @@ def fit_partition(
     else:
         H = np.maximum(np.asarray(init_activations, dtype=float), EPS).reshape(1, K, T)
 
-    # each column's weight in the sums over t, and where a folded fit's
-    # columns widen back to (None when nothing is folded)
-    w, columns = np.ones(T), None
-    if init_activations is not None and T > 1:
-        repeated = _repeated_columns(S, H[0])
-        count = int(repeated.sum())
-        if count > 1:
-            first = int(np.argmax(repeated))
-            keep = ~repeated
-            keep[first] = True
-            columns = np.cumsum(keep) - 1
-            columns[repeated] = columns[first]
-            S, H = np.compress(keep, S, axis=1), np.compress(keep, H, axis=2)
-            w = np.ones(S.shape[1])
-            w[columns[first]] = count
-
     def model_matrix() -> np.ndarray:
         return np.maximum(np.einsum("iam,ik,akt->mt", R, E, H), EPS)
 
     def kl_cost(lam: np.ndarray) -> float:
-        return float(np.sum((special.xlogy(S, S / lam) - S + lam) * w))
+        return float(np.sum(special.xlogy(S, S / lam) - S + lam))
 
-    # a weight of 1 multiplies exactly, so an unfolded fit's sums are the
-    # full-width ones
-    mass = max(float((S * w).sum()), EPS)
+    mass = max(float(S.sum()), EPS)
     trace = [kl_cost(model_matrix())]
     converged = False
     for sweep in range(1, max_iters + 1):
-        h_w = H * w
         lam = model_matrix()
-        ratio = S / lam * w
+        ratio = S / lam
         num = np.einsum("ik,akt,mt->iam", E, H, ratio)
-        den = np.maximum(np.einsum("ik,akt->ia", E, h_w), EPS)[:, :, None]
+        den = np.maximum(np.einsum("ik,akt->ia", E, H), EPS)[:, :, None]
         R = R * num / den
 
         lam = model_matrix()
-        ratio = S / lam * w
+        ratio = S / lam
         num = np.einsum("iam,akt,mt->ik", R, H, ratio)
         den = np.maximum(
-            R.sum(axis=(1, 2))[:, None] * h_w[0].sum(axis=1)[None, :], EPS
+            R.sum(axis=(1, 2))[:, None] * H[0].sum(axis=1)[None, :], EPS
         )
         E = E * num / den
 
@@ -244,46 +240,14 @@ def fit_partition(
     return PartitionTensors(
         R=R,
         E=E,
-        H=H if columns is None else np.take(H, columns, axis=2),
+        H=H,
         converged=converged,
         iterations=len(trace) - 1,
         cost_trace=tuple(trace),
     )
 
 
-def _repeated_columns(S: np.ndarray, H: np.ndarray) -> np.ndarray:
-    """Mask of the columns where every row of S and of H holds its row's
-    most frequent value, compared by bits."""
-    repeated = np.ones(S.shape[1], dtype=bool)
-    for row in (*S, *H):
-        bits = np.ascontiguousarray(row).view(np.int64)
-        repeated &= bits == _most_frequent(bits)
-    return repeated
-
-
 def assign(t: PartitionTensors) -> BasisPartition:
-    """Assign every basis to the source cluster with the largest score.
-
-    Ties break toward the smaller cluster index; an all-zero score column
-    goes to cluster 1 and is reported in ``degenerate``.  The tensors must
-    have ``NUM_SOURCES`` sources, one per cluster.
-    """
-    per_source, _ = score(t)
-    M, K = per_source.shape
-    if M != NUM_SOURCES:
-        raise DimensionError(f"assignment needs {NUM_SOURCES} sources, got M={M}")
-    assignment = np.ones(K, dtype=int)
-    degenerate = []
-    for k in range(K):
-        col = per_source[:, k]
-        if np.all(col == 0.0):
-            degenerate.append(k)
-            continue
-        assignment[k] = int(np.argmax(col)) + 1
-    if degenerate:
-        warnings.warn(
-            f"bases {degenerate} have all-zero scores; assigned to cluster 1",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return BasisPartition(assignment=assignment, degenerate=tuple(degenerate))
+    """Assign every basis to the source cluster with the largest contraction
+    score (``BasisPartition.from_scores``)."""
+    return BasisPartition.from_scores(score(t)[0])

@@ -1,11 +1,11 @@
+import json
+
 import numpy as np
 import pytest
 
-from qreadout import bnmf, partition as pm, register
+from qreadout import bnmf, cli, partition as pm, register
 from qreadout.artifacts import write_json
 from qreadout.errors import DimensionError, StateError, ValidationError
-
-from _reference_partition import reference_partition
 
 
 def random_tensors(seed, M=2, K=3, T=4):
@@ -277,124 +277,51 @@ class TestSerialization:
         assert back.cluster_sizes == [2, 1]
 
 
-def repeated_inputs(seed, K=3, T=240):
-    """S and a start H that repeat one column a row everywhere but on 40
-    scattered columns (the first and last column repeat), and anchored
-    bases that do not reproduce S; the mask of the repeated columns last."""
-    rng = np.random.default_rng(seed)
-    repeated = np.ones(T, dtype=bool)
-    repeated[rng.choice(np.arange(1, T - 1), 40, replace=False)] = False
-    S = rng.uniform(0.2, 3.0, size=(2, T))
-    acts = rng.uniform(0.1, 2.0, size=(K, T))
-    S[:, repeated] = rng.uniform(0.2, 3.0, size=(2, 1))
-    acts[:, repeated] = rng.uniform(0.1, 2.0, size=(K, 1))
-    bases = rng.uniform(0.1, 2.0, size=(2, K))
-    return S, bases, acts, repeated
-
-
-def readme_partition_inputs(seed):
-    """The partition stage's inputs at the README config's 600x512."""
-    cfg = register.RegisterConfig(horizon=600, dim=512, residual_strength=0.3, seed=seed)
-    obs = register.observe(register.generate_input(cfg), cfg)
-    _, result = bnmf.select_order(obs.values, 2, 2, bnmf.FitOptions(300, 1e-6, seed))
-    c_b = pm.transform_bases(result, 0)
-    return np.abs(c_b @ result.activations), np.abs(c_b), result.activations
-
-
-class TestFoldedPartition:
-    """``fit_partition`` folds the columns that repeat one value a row
-    into one weighted column; ``reference_partition`` is the full-width
-    loop it replaced."""
-
-    def check_close(self, got, want, S):
-        # the cost falls towards 0 as the fit nears S, where its terms
-        # cancel, so it is also compared in units of the mass, the scale of
-        # the stop rule
-        assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        for name in ("R", "E", "H"):
-            assert getattr(got, name).shape == getattr(want, name).shape, name
-            np.testing.assert_allclose(getattr(got, name), getattr(want, name),
-                                       rtol=1e-12, atol=0, err_msg=name)
-        np.testing.assert_allclose(got.cost_trace, want.cost_trace,
-                                   rtol=1e-12, atol=1e-12 * S.sum())
-        assert np.array_equal(pm.assign(got).assignment, pm.assign(want).assignment)
-
-    def check_identical(self, got, want):
-        assert (got.iterations, got.converged) == (want.iterations, want.converged)
-        assert got.cost_trace == want.cost_trace
-        for name in ("R", "E", "H"):
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-
-    @pytest.mark.parametrize("seed", [0, 1, 2])
-    @pytest.mark.parametrize("anchored", ["both", "activations-only"])
-    @pytest.mark.parametrize(
-        "max_iters,tol", [(20, 1e-15), (300, 1e-4)], ids=["20-sweeps", "stop-rule"]
+def stage_and_oracle(tmp_path, register_section, factorization=None, k=0, seed=0):
+    """The partition stage's partition.json for one config and seed, and
+    what the anchored tensor fit assigns from the same model.json."""
+    doc = {"register": register_section, "transform": {"k": k}}
+    if factorization:
+        doc["factorization"] = factorization
+    for stage in ("simulate", "fit", "partition"):
+        cli.run(cli.RunConfig(stage=stage, seed=seed, output_dir=tmp_path, document=doc))
+    got = json.loads((tmp_path / "partition.json").read_text())
+    model = bnmf.FitResult.from_dict(
+        json.loads((tmp_path / "model.json").read_text()), register_section["horizon"]
     )
-    def test_repeated_columns_match_the_full_width_loop(self, seed, anchored, max_iters, tol):
-        # at most 20 sweeps: the factors' rounding differences grow from
-        # sweep to sweep, to 1e-12 relative by about 60.  Under the stop
-        # rule the sweep count depends on the mass, all columns' weight
-        S, bases, acts, repeated = repeated_inputs(seed)
-        kwargs = dict(max_iters=max_iters, tol=tol, seed=seed, init_activations=acts,
-                      init_bases=bases if anchored == "both" else None)
-        got = pm.fit_partition(S, 3, **kwargs)
-        want = reference_partition(S, 3, **kwargs)
-        assert 1 < got.iterations <= 20
-        self.check_close(got, want, S)
-        # the folded columns widen back to one column, bit-equal
-        folded = got.H[0][:, repeated]
-        assert (folded == folded[:, :1]).all()
+    c_b = pm.transform_bases(model, k)
+    tensors = pm.fit_partition(
+        np.abs(c_b @ model.activations), model.K, max_iters=300, tol=1e-7,
+        init_bases=np.abs(c_b), init_activations=model.activations,
+    )
+    return got, pm.assign(tensors).to_dict(), model
 
-    def test_all_constant_s_folds_to_one_column(self):
-        T = 50
-        S = np.full((2, T), 1.5)
-        acts = np.full((2, T), 0.75)
-        kwargs = dict(max_iters=40, tol=1e-12, seed=4, init_activations=acts,
-                      init_bases=np.array([[0.3, 1.2], [0.9, 0.4]]))
-        got = pm.fit_partition(S, 2, **kwargs)
-        want = reference_partition(S, 2, **kwargs)
-        self.check_close(got, want, S)
-        assert (got.H[0] == got.H[0][:, :1]).all()
 
-    def test_columns_repeated_in_s_alone_are_not_folded(self):
-        # a column folds only where the start H repeats too
-        S = np.full((2, 50), 1.5)
-        acts = np.random.default_rng(9).uniform(0.1, 2.0, size=(2, 50))
-        kwargs = dict(max_iters=40, tol=1e-12, seed=4, init_activations=acts,
-                      init_bases=np.array([[0.3, 1.2], [0.9, 0.4]]))
-        self.check_identical(pm.fit_partition(S, 2, **kwargs),
-                             reference_partition(S, 2, **kwargs))
+README = {"horizon": 600, "dim": 512, "residual_strength": 0.3}
+TINY = {"horizon": 64, "dim": 16}
 
-    @pytest.mark.parametrize("seed", [5, 6])
-    def test_pipeline_inputs_match_the_full_width_loop(self, seed):
-        # the anchored start reproduces S, so the cost sits at rounding level
-        S, init_bases, init_activations = readme_partition_inputs(seed)
-        kwargs = dict(max_iters=300, tol=1e-7, init_bases=init_bases,
-                      init_activations=init_activations)
-        got = pm.fit_partition(S, 2, **kwargs)
-        want = reference_partition(S, 2, **kwargs)
-        assert pm._repeated_columns(S, np.maximum(init_activations, pm.EPS)).sum() > 1
-        self.check_close(got, want, S)
+# (register, factorization, transform k, seed)
+STAGE_CASES = [
+    *((README, None, 0, seed) for seed in range(20)),
+    *((TINY, None, 3, seed) for seed in range(5)),
+    *((README, {"k_min": 3}, 0, seed) for seed in range(3)),
+    *((TINY, {"k_min": 3}, 0, seed) for seed in range(3)),
+]
+STAGE_IDS = [
+    f"{'readme' if reg is README else 'tiny'}{'-kmin3' if fact else ''}-k{k}-{seed}"
+    for reg, fact, k, seed in STAGE_CASES
+]
 
-    def test_random_start_is_the_full_width_loop(self):
-        # nothing is folded without an anchored H, even where S repeats
-        S, _, _, _ = repeated_inputs(7)
-        got = pm.fit_partition(S, 3, max_iters=50, tol=1e-12, seed=7)
-        self.check_identical(got, reference_partition(S, 3, max_iters=50, tol=1e-12, seed=7))
 
-    @pytest.mark.parametrize("count", [0, 1])
-    def test_distinct_columns_are_the_full_width_loop(self, count):
-        rng = np.random.default_rng(8 + count)
-        S = rng.uniform(0.2, 3.0, size=(2, 60))
-        acts = rng.uniform(0.1, 2.0, size=(3, 60))
-        # every value in a row is distinct, so each row's most frequent is
-        # its least; with count 1, column 0 holds every row's least
-        if count:
-            S[:, 0], acts[:, 0] = 0.1, 0.05
-        else:
-            S[0, 0], acts[1, 1] = 0.1, 0.05
-        assert pm._repeated_columns(S, acts).sum() == count
-        kwargs = dict(max_iters=50, tol=1e-12, seed=8, init_activations=acts,
-                      init_bases=rng.uniform(0.1, 2.0, size=(2, 3)))
-        self.check_identical(pm.fit_partition(S, 3, **kwargs),
-                             reference_partition(S, 3, **kwargs))
+class TestPartitionStage:
+    """The stage assigns each basis to its largest source row; the tensor
+    fit started at the transformed bases, which it stands for, is its
+    oracle."""
+
+    @pytest.mark.parametrize("reg,fact,k,seed", STAGE_CASES, ids=STAGE_IDS)
+    def test_stage_is_the_anchored_fit(self, tmp_path, reg, fact, k, seed):
+        got, want, model = stage_and_oracle(tmp_path, reg, fact, k, seed)
+        assert model.K >= (3 if fact else 2)
+        assert got == want
+        assert not got["degenerate"]
+
