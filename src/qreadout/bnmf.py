@@ -34,6 +34,16 @@ With c_k the counts allocated to basis k, the bound is
 equal to ``lower_bound`` at the same state up to rounding (within 1e-12
 relative; its sums run in another order).  ``lower_bound`` stays the
 reference, valid at any state.
+
+The allocation term alloc = sum kappa log eta comes from the softmax's own
+sums.  With l the logits shifted by their max over k, and s the sum over k
+of their exponentials, log eta = l - log s, and since kappa sums to x over
+k,
+
+    alloc = sum_mkt kappa l - sum_mt x log s.
+
+Every item of the first sum is <= 0 (l <= 0) and of the second >= 0
+(s >= 1), so the difference adds terms of one sign and nothing cancels.
 """
 
 from __future__ import annotations
@@ -198,6 +208,16 @@ class FitResult:
             # exact types: JSON's true is not an integer here, nor 2.0
             if type(d[key]) is not kind:
                 raise ValidationError(f"{key} must be {kind.__name__}, got {d[key]!r}")
+        # one bound a sweep, each written as a float
+        trace = d["elbo_trace"]
+        if not (
+            type(trace) is list
+            and len(trace) == d["iterations"]
+            and all(type(e) is float and math.isfinite(e) for e in trace)
+        ):
+            raise ValidationError(
+                f"elbo_trace must be a list of iterations={d['iterations']} finite floats"
+            )
         # K bounds the bases' columns and the activations' rows; T has no
         # reference in this file, and is checked against ``horizon`` if given
         return cls(
@@ -206,7 +226,7 @@ class FitResult:
             K=d["K"],
             converged=d["converged"],
             iterations=d["iterations"],
-            elbo_trace=tuple(d["elbo_trace"]),
+            elbo_trace=tuple(trace),
         )
 
 
@@ -259,11 +279,14 @@ def _start(X: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, ...]:
 
     a_shape = 1.0 + rng.uniform(0.0, 0.05, size=(M, K))
     a_scale = row_scale[:, None] * rng.uniform(0.9, 1.1, size=(M, K)) / a_shape
-    # the K x T draws are finished in place: the same operations in the
-    # same order, with no fresh K x T temporaries
-    b_shape = rng.uniform(0.0, 0.05, size=(K, T))
+    # the K x T draws are rng.uniform's, low + (high - low) * random(),
+    # finished in place with no fresh K x T temporaries
+    b_shape = rng.random((K, T))
+    b_shape *= 0.05
     b_shape += 1.0
-    b_scale = rng.uniform(0.9, 1.1, size=(K, T))
+    b_scale = rng.random((K, T))
+    b_scale *= 1.1 - 0.9
+    b_scale += 0.9
     b_scale *= col_scale
     b_scale /= b_shape
     return a_shape, a_scale, b_shape, b_scale
@@ -446,6 +469,15 @@ def _floored(arr: np.ndarray) -> np.ndarray:
     return np.maximum(arr, EPS)
 
 
+def _split(buf: np.ndarray, *shapes) -> list[np.ndarray]:
+    """Views of consecutive parts of the flat ``buf``, one of each shape."""
+    views, start = [], 0
+    for shape in shapes:
+        views.append(buf[start : start + math.prod(shape)].reshape(shape))
+        start += math.prod(shape)
+    return views
+
+
 def _widen(data: np.ndarray, fill, cols: np.ndarray, T: int) -> np.ndarray:
     """A full-width array: ``data`` on the columns ``cols``, ``fill``
     broadcast on the others."""
@@ -521,21 +553,33 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     and the bound in the collapsed form of the module docstring, which
     needs no reconstruction and no digamma of its own: the allocation
     term, the log Gamma sums of the shapes and a few numbers per basis.
-    The expected-count sums are shared by the Gamma step and the bound;
-    the M x K x T allocation and expected counts are computed in place in
-    two buffers allocated per fit, and the returned model keeps the
-    allocation one.  Every per-column quantity is computed on the columns
-    of X that hold data only.  An all-zero column gets no counts, so its
-    activation shape is exactly 1 and its mean the activation scale; its
-    terms in the sums over time are folded into one constant per basis,
-    times the number of such columns.  The first sweep is the exception:
-    it reads the random start on every column.  With no all-zero column
-    this is the plain full-width sweep, whose arrays are bit-identical to
-    the step functions'.  Stops when the relative bound change drops below
+    The expected-count sums are shared by the Gamma step and the bound.
+    Every per-column quantity is computed on the columns of X that hold
+    data only.  An all-zero column gets no counts, so its activation shape
+    is exactly 1 and its mean the activation scale; its terms in the sums
+    over time are folded into one constant per basis, times the number of
+    such columns.  The first sweep is the exception: it reads the random
+    start on every column.  With no all-zero column this is the plain
+    full-width sweep, whose arrays are bit-identical to the step
+    functions'.  Stops when the relative bound change drops below
     ``opts.tol`` or after ``opts.max_iters`` sweeps; a non-converged model
     is returned flagged, not raised.  An all-zero observation
     short-circuits after the first sweep since there is no mass to
     allocate.
+
+    A sweep works in place in buffers allocated once per fit.  Three are
+    M x K x T: the shifted logits, the allocation and the expected counts;
+    the returned model keeps the allocation one.  The counts' sums over t
+    and over m share one buffer of M K + K T entries, where one call adds 1
+    to make them the basis and activation shapes; a second buffer of that
+    size takes both shapes' digammas, then both their log Gammas.  The
+    bound's elementwise part, alloc - sum log Gamma(a) - sum log Gamma(b),
+    is one dot product: the expected counts, -x and -1 against the
+    shifted logits, log s and the log Gammas, each pair of operands held
+    as views into two flat buffers.  A finite bound has every shape and
+    scale of its sweep finite, so the next sweep's logits are finite: only
+    the random start's are checked, and a non-finite one is named by its
+    full-width index.
 
     The sweeps end in an unfinished state on the data columns.  Finishing
     it builds the full-width model, whose allocation comes from the log
@@ -568,15 +612,35 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     fixed = -float(special.gammaln(x + 1.0).sum()) + K * (
         M * math.log(rate_u) + T * math.log(rate_w)
     )
-    x = x[:, None, :]  # broadcasts against eta
-    eta = np.empty((x.shape[0], K, x.shape[2]))  # the logits, then eta
-    e_kappa = np.empty_like(eta)  # then the allocation term
-    over_k = np.empty_like(x)  # the logits' max over k, then their exponentials' sum
     log_bases = special.psi(a_shape) + np.log(a_scale)
     log_activations = special.psi(take(b_shape)) + np.log(take(b_scale))
+    # the start's logits; a finite bound makes the next sweep's finite
+    if not (np.isfinite(log_bases).all() and np.isfinite(log_activations).all()):
+        logits = log_bases[:, :, None] + log_activations[None, :, :]
+        raise _logit_error(_first_non_finite(logits, where))
     sum_w = _row_sums(b_shape, b_scale)
     b_start = b_shape, b_scale  # what a one-sweep fit's allocation reads
-    summed, peak = np.add.reduce, np.maximum.reduce
+
+    # the buffers of the docstring: the bound's dot product is of weights
+    # [kappa, -x, -1] with terms [l, log s, log Gamma(shapes)].  over_k
+    # holds the logits' max over k, then their exponentials' sum s, then
+    # log s; gammas the shapes' digammas, then their log Gammas
+    T_data = x.shape[1]
+    n_shapes = M * K + K * T_data
+    weights = np.empty(M * (K + 1) * T_data + n_shapes)
+    terms = np.empty_like(weights)
+    e_kappa, neg_x, minus_ones = _split(weights, (M, K, T_data), (M, T_data), (n_shapes,))
+    logits, over_k, gammas = _split(terms, (M, K, T_data), (M, 1, T_data), (n_shapes,))
+    np.negative(x, out=neg_x)
+    minus_ones.fill(-1.0)
+    x = x[:, None, :]  # broadcasts against eta
+    eta = np.empty_like(logits)
+    # kappa_u and kappa_w, then the shapes 1 + kappa
+    shapes = np.empty(n_shapes)
+    a_shape, b_shape = _split(shapes, (M, K), (K, T_data))
+    a_psi, b_psi = _split(gammas, (M, K), (K, T_data))
+    ones_m = np.ones(M)
+    summed, peak, dot = np.add.reduce, np.maximum.reduce, np.dot
 
     trace: list[float] = []
     converged = False
@@ -586,56 +650,44 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
         # the log means of the previous activations, whose scale is b_scale
         eta_bases, before = log_bases, b_scale
 
-        # _eta.  A logit adds two log means psi(shape) + log(scale), each
-        # under 1500 in size when finite, so the logits are all finite
-        # exactly when their sum is
-        np.add(log_bases[:, :, None], log_activations[None, :, :], out=eta)
-        if not math.isfinite(summed(eta, axis=None)):
-            raise _logit_error(_first_non_finite(eta, where))
-        eta -= peak(eta, axis=1, out=over_k, keepdims=True)
-        np.exp(eta, out=eta)
+        # _eta, with the shifted logits kept for the allocation term
+        np.add(log_bases[:, :, None], log_activations, out=logits)
+        logits -= peak(logits, axis=1, out=over_k, keepdims=True)
+        np.exp(logits, out=eta)
         eta /= summed(eta, axis=1, out=over_k, keepdims=True)
 
-        # the expected counts of update_variational and lower_bound.  A
-        # non-finite item makes the sum non-finite; when only the sum
-        # overflows, the bound's check below raises instead
+        # the expected counts of update_variational and lower_bound, and
+        # their sums over t and m
         np.multiply(x, eta, out=e_kappa)
-        kappa_u, kappa_w = summed(e_kappa, axis=2), summed(e_kappa, axis=0)
-        special.xlogy(e_kappa, eta, out=e_kappa)
-        alloc = float(summed(e_kappa, axis=None))
-        if not math.isfinite(alloc):
-            idx = _first_non_finite(e_kappa, where)
-            if idx is not None:
-                raise _allocation_error(idx)
+        summed(e_kappa, axis=2, out=a_shape)
+        summed(e_kappa, axis=0, out=b_shape)
+        counts = dot(ones_m, a_shape).tolist()  # c_k, for the bound
 
         # update_variational.  Each denominator is a sum of the fit's Gamma
         # means plus a rate of 1, so its floor can never apply here
-        a_shape = np.add(1.0, kappa_u)
-        a_scale = np.divide(1.0, np.add(sum_w[None, :], rate_u))
-        a_psi, a_log_scale = special.psi(a_shape), np.log(a_scale)
+        shapes += 1.0
+        special.psi(shapes, out=gammas)
+        a_scale = np.reciprocal(np.add(sum_w[None, :], rate_u))
+        a_log_scale = np.log(a_scale)
         bases = np.multiply(a_shape, a_scale)
         log_bases = np.add(a_psi, a_log_scale)
-        b_shape = np.add(1.0, kappa_w)
-        b_scale = np.divide(1.0, np.add(summed(bases, axis=0)[:, None], rate_w))
-        b_psi, b_log_scale = special.psi(b_shape), np.log(b_scale)
+        b_scale = np.reciprocal(np.add(summed(bases, axis=0)[:, None], rate_w))
+        b_log_scale = np.log(b_scale)
         activations = np.multiply(b_shape, b_scale)
         log_activations = np.add(b_psi, b_log_scale)
         sum_w = summed(activations, axis=1)
         if n0:
             sum_w += n0 * b_scale[:, 0]
 
-        # lower_bound, collapsed (see the module docstring): with c_k the
-        # counts allocated to basis k, the log Gamma sums and one term per
-        # basis, in plain floats.  An all-zero column's b is 1, so its
-        # log Gamma is 0 and it counts in T alone
-        counts = summed(kappa_u, axis=0).tolist()
-        elbo = (
-            fixed - alloc
-            + float(summed(special.gammaln(a_shape, out=kappa_u), axis=None))
-            + float(summed(special.gammaln(b_shape, out=kappa_w), axis=None))
-        )
+        # lower_bound, collapsed (see the module docstring): the
+        # allocation term less the log Gamma sums, then one term per basis
+        # in plain floats.  An all-zero column's b is 1, so its log Gamma
+        # is 0 and it counts in T alone
+        np.log(over_k, out=over_k)
+        special.gammaln(shapes, out=gammas)
+        elbo = fixed - float(dot(weights, terms))
         for c, s, log_s, log_q in zip(
-            counts, a_scale[0].tolist(), a_log_scale[0].tolist(), b_log_scale[:, 0].tolist()
+            counts, a_scale.tolist()[0], a_log_scale.tolist()[0], b_log_scale.T.tolist()[0]
         ):
             elbo += (log_s + 1.0 - rate_u * s) * (M + c) + (T + c) * log_q
         if not math.isfinite(elbo):

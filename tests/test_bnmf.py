@@ -91,6 +91,25 @@ class TestInitModel:
         assert np.all(m.ctrl_alpha == 1.0)
         assert np.all(m.ctrl_beta == 1.0)
 
+    @pytest.mark.parametrize("T", [1, 128, 20000])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_start_draws_rng_uniform(self, K, T):
+        # the start as rng.uniform draws it, bit for bit: every fit, and the
+        # reference fit of test_bit_identical, starts from _start
+        X = zeroed(random_matrix(T + K, M=2, T=T, scale=5.0), some_columns(T, T))
+        for seed in (0, 1, 42, 2**40 + 7):
+            rng = np.random.default_rng(seed)
+            row_scale = np.sqrt((X.mean(axis=1) + bnmf.EPS) / K)
+            col_scale = np.sqrt((X.mean(axis=0) + bnmf.EPS) / K)
+            a_shape = 1.0 + rng.uniform(0.0, 0.05, size=(2, K))
+            a_scale = row_scale[:, None] * rng.uniform(0.9, 1.1, size=(2, K)) / a_shape
+            b_shape = 1.0 + rng.uniform(0.0, 0.05, size=(K, T))
+            b_scale = rng.uniform(0.9, 1.1, size=(K, T)) * col_scale / b_shape
+            want = a_shape, a_scale, b_shape, b_scale
+            for name, got, ref in zip(("a_shape", "a_scale", "b_shape", "b_scale"),
+                                      bnmf._start(X, K, seed), want):
+                assert got.tobytes() == ref.tobytes(), (name, seed)
+
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValidationError):
             bnmf.init_model(random_matrix(0), 0, seed=0)
@@ -783,4 +802,20 @@ class TestSerialization:
         doc = bnmf.fit(random_matrix(12, T=8), 2).result().to_dict()
         doc[key] = value
         with pytest.raises(ValidationError, match=key):
+            bnmf.FitResult.from_dict(doc)
+
+    @pytest.mark.parametrize(
+        "trace",
+        [lambda t: "not a trace", lambda t: t[:-1], lambda t: t + t[-1:],
+         lambda t: [*t[:-1], float("nan")], lambda t: [*t[:-1], float("-inf")],
+         lambda t: [*t[:-1], int(t[-1])], lambda t: [*t[:-1], True],
+         lambda t: [*t[:-1], str(t[-1])], lambda t: dict(enumerate(t))],
+        ids=["text", "short", "long", "nan", "-inf", "int", "bool", "str", "dict"],
+    )
+    def test_damaged_trace_rejected(self, trace):
+        # one finite float a sweep, as the fit wrote it
+        doc = bnmf.fit(random_matrix(12, T=8), 2).result().to_dict()
+        assert len(doc["elbo_trace"]) == doc["iterations"] > 1
+        doc["elbo_trace"] = trace(doc["elbo_trace"])
+        with pytest.raises(ValidationError, match="elbo_trace"):
             bnmf.FitResult.from_dict(doc)

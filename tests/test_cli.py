@@ -542,6 +542,10 @@ class TestMain:
             ("ground_truth.json", "residual_weights", lambda e: dict(e, shape=[1, 10**15])),
             ("model.json", "activations",
              lambda e: dict(e, shape=[e["shape"][0] + 1, e["shape"][1]])),
+            # the trace holds one finite float a sweep
+            ("model.json", "elbo_trace", "not a trace"),
+            ("model.json", "elbo_trace", lambda e: e[:-1]),
+            ("model.json", "elbo_trace", lambda e: [*e[:-1], None]),
         ],
         ids=["gt-2d-weights", "gt-nan-weight", "gt-negative-residual",
              "model-nan-basis", "model-negative-activation", "model-fractional-K",
@@ -549,7 +553,8 @@ class TestMain:
              "gt-decreasing-cols", "gt-repeated-col", "gt-long-fill",
              "model-bool-col", "model-float-cols", "model-bool-shape",
              "obs-huge-shape", "obs-wider-than-config", "gt-huge-sources",
-             "gt-huge-weights", "gt-2d-huge-residual", "model-rows-not-K"],
+             "gt-huge-weights", "gt-2d-huge-residual", "model-rows-not-K",
+             "model-text-trace", "model-short-trace", "model-null-in-trace"],
     )
     def test_damaged_artifact_values_exit_2(
         self, tmp_path, capsys, pipeline_out, name, key, value
