@@ -1,20 +1,10 @@
 """JSON and CSV artifact writers shared by every stage, and the column layout.
 
 ``write_json(doc, path)`` writes exactly the bytes of
-``json.dumps(doc, indent=2, sort_keys=True)``, where a float
-``np.ndarray`` may stand wherever a list may, meaning its ``.tolist()``:
-a 1-D array a flat list of numbers, an n-D array the list of its rows.
-So the stages hand their matrices over as arrays, and no Python list of
-their floats is built.  ``json`` formats indented output with its
-pure-Python encoder, one number at a time, which makes long numeric lists
-slow to write.  Here the containers are walked as the indenting encoder
-walks them, and each flat list of numbers goes through the C encoder in
-fixed slices: compact ``json.dumps`` separates items with ``", "``, no
-number's text contains that, so replacing it with ``","`` plus the line
-indent gives the indented layout.  Every other value is encoded by
-``json.dumps`` itself, so NaN, Infinity, string escapes and empty
-containers come out as before.  The file is streamed, never held whole in
-memory.
+``json.dumps(doc, indent=2, sort_keys=True)``, where an ``np.ndarray``
+may stand wherever a list may, meaning its ``.tolist()``.  The standard
+encoder writes them: since the column layout below, every JSON artifact
+is a few kilobytes, so its per-number cost in Python does not show.
 
 The large float arrays of the stage artifacts hold data in few columns:
 at 20000x3000 the observation has 54 of its 20000 columns nonzero, the
@@ -70,14 +60,12 @@ import numpy as np
 
 from .errors import DimensionError, ValidationError
 
-_INDENT = "  "
-_SLICE = 1024  # numbers per C-encoder call
-
 
 def write_json(doc, path: str | Path) -> None:
     """Write ``doc`` as ``json.dumps(doc, indent=2, sort_keys=True)`` does."""
+    text = json.dumps(doc, indent=2, sort_keys=True, default=_as_list)
     with _create(path) as fh:
-        fh.writelines(_encode(doc, 0))
+        fh.write(text)
 
 
 def write_csv(header, rows, path: str | Path) -> None:
@@ -179,6 +167,12 @@ def _create(path: str | Path, newline: str | None = None):
     return open(path, "w", newline=newline)
 
 
+def _as_list(o):
+    if isinstance(o, np.ndarray):
+        return o.tolist()
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+
+
 def _csv_line(row) -> str:
     # each item's text and a comma; the row's last comma becomes its line end
     texts = []
@@ -191,53 +185,6 @@ def _csv_line(row) -> str:
                 cell = cell.item()
             texts.append(repr(cell) + ",")
     return "".join(texts)[:-1] + "\r\n"
-
-
-def _encode(o, level: int):
-    if isinstance(o, np.ndarray) and not (o.dtype == float and o.ndim == 1 and len(o)):
-        # a nonempty 1-D float array is encoded as it is, an n-D one as the
-        # list of its rows; any other array (ints, 0-d, empty) as its .tolist()
-        o = list(o) if o.dtype == float and o.ndim > 1 else o.tolist()
-    inner = "\n" + _INDENT * (level + 1)
-    if isinstance(o, dict) and o and all(isinstance(k, str) for k in o):
-        sep = "{" + inner
-        for key, value in sorted(o.items()):
-            yield sep + json.dumps(key) + ": "
-            yield from _encode(value, level + 1)
-            sep = "," + inner
-        yield "\n" + _INDENT * level + "}"
-    elif isinstance(o, (list, tuple, np.ndarray)) and len(o):
-        sep = "[" + inner
-        types = {float} if isinstance(o, np.ndarray) else set(map(type, o))
-        if types <= {int, float}:
-            for text in _number_slices(o, "," + inner):
-                yield sep
-                yield text
-                sep = "," + inner
-        else:
-            for value in o:
-                yield sep
-                yield from _encode(value, level + 1)
-                sep = "," + inner
-        yield "\n" + _INDENT * level + "]"
-    elif isinstance(o, dict) and o:
-        # non-string keys, which json converts; its indented text holds no
-        # raw newline except its own line breaks
-        text = json.dumps(o, indent=len(_INDENT), sort_keys=True)
-        yield text.replace("\n", "\n" + _INDENT * level)
-    else:
-        # scalars and empty containers read the same without indent; the
-        # indenting encoder would build a cycle of closures per value, which
-        # lingers until collected and raised peak memory
-        yield json.dumps(o)
-
-
-def _number_slices(o, join: str):
-    """A flat list of numbers or 1-D float array as JSON text, ``_SLICE`` items at a time joined by ``join``."""
-    if isinstance(o, np.ndarray):
-        o = o.tolist()
-    for i in range(0, len(o), _SLICE):
-        yield json.dumps(o[i : i + _SLICE])[1:-1].replace(", ", join)
 
 
 def _array_texts(cell: np.ndarray) -> list[str]:

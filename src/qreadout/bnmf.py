@@ -274,8 +274,10 @@ def _start(X: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, ...]:
     rng = np.random.default_rng(seed)
     M, T = X.shape
 
-    row_scale = np.sqrt((X.mean(axis=1) + EPS) / K)   # (M,)
-    col_scale = np.sqrt((X.mean(axis=0) + EPS) / K)   # (T,)
+    # the means as X.mean computes them, a sum then a true divide, called
+    # here so that an overflow warns from this module
+    row_scale = np.sqrt((np.add.reduce(X, axis=1) / T + EPS) / K)   # (M,)
+    col_scale = np.sqrt((np.add.reduce(X, axis=0) / M + EPS) / K)   # (T,)
 
     a_shape = 1.0 + rng.uniform(0.0, 0.05, size=(M, K))
     a_scale = row_scale[:, None] * rng.uniform(0.9, 1.1, size=(M, K)) / a_shape
@@ -395,19 +397,12 @@ def update_control(model: FactorModel) -> FactorModel:
 
 
 def _positive_root(s, c: np.ndarray) -> np.ndarray:
-    """The positive root of x^2 + s x - c = 0, for s, c > 0, written over ``c``.
+    """The positive root of x^2 + s x - c = 0, for s, c > 0.
 
     Computed as 2c / (s + sqrt(s^2 + 4c)), which holds no subtraction:
     the textbook (-s + sqrt(s^2 + 4c)) / 2 cancels when s^2 dwarfs 4c.
-    In place, because ``c`` is K x T and each fresh temporary of that size
-    faults in new pages.
     """
-    den = 4.0 * c
-    den += s**2
-    np.sqrt(den, out=den)
-    den += s
-    c *= 2.0
-    return np.divide(c, den, out=c)
+    return 2.0 * c / (s + np.sqrt(s**2 + 4.0 * c))
 
 
 def lower_bound(model: FactorModel, X) -> float:

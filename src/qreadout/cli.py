@@ -182,12 +182,19 @@ def _register(sec: dict, seed: int) -> register.RegisterConfig:
     )
 
 
+# the largest order a fit may take: the K scale the transforms target, and
+# recover builds dense K x K matrices
+_MAX_ORDER = 1024
+
+
 def _factorization(sec: dict, seed: int) -> tuple[bnmf.FitOptions, tuple[int, int]]:
     opts = bnmf.FitOptions(sec["max_iters"], sec["tol"], sec.get("seed", seed))
     k_min, k_max, k = sec["k_min"], sec["k_max"], sec.get("k")
     _check(_is_int(k_min) and k_min >= 1, f"k_min must be an integer >= 1, got {k_min!r}")
-    _check(_is_int(k_max) and k_max >= k_min, f"k_max must be an integer >= k_min, got {k_max!r}")
-    _check(k is None or _is_int(k) and k >= 1, f"k must be an integer >= 1, got {k!r}")
+    _check(_is_int(k_max) and k_min <= k_max <= _MAX_ORDER,
+           f"k_max must be an integer >= k_min and <= {_MAX_ORDER}, got {k_max!r}")
+    _check(k is None or _is_int(k) and 1 <= k <= _MAX_ORDER,
+           f"k must be an integer >= 1 and <= {_MAX_ORDER}, got {k!r}")
     return opts, ((k_min, k_max) if k is None else (k, k))
 
 

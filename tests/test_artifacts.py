@@ -8,11 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qreadout import artifacts, cli
-from qreadout.artifacts import (
-    _SLICE, decode_columns, encode_columns, write_csv, write_json,
-)
+from qreadout.artifacts import decode_columns, encode_columns, write_csv, write_json
 from qreadout.errors import DimensionError, ValidationError
 
 SMALL_PIPELINE = {
@@ -41,12 +40,14 @@ json_values = st.recursive(
     ),
     max_leaves=30,
 )
-# flat number lists go through the C encoder in slices; these cross slice
-# edges (a short drawn pattern, tiled to a drawn length)
+# the scale of the long lists below, which run from LONG - 1 to 3 * LONG items
+LONG = 1024
+# long flat number lists, as a numeric column or trace would be written (a
+# short drawn pattern, tiled to a drawn length)
 long_number_lists = st.builds(
     lambda pattern, n: (pattern * n)[:n],
     st.lists(numbers, min_size=1, max_size=8),
-    st.integers(_SLICE - 1, 2 * _SLICE + 3),
+    st.integers(LONG - 1, 2 * LONG + 3),
 )
 
 
@@ -60,7 +61,7 @@ def half_distinct_floats(n: int, distinct: int, seed: int) -> list[float]:
 
 
 # lists of floats alone, repeating a few values with the specials among
-# them, which must keep their own texts.  Tiled past two slices, and at
+# them, which must keep their own texts.  Tiled past 2 * LONG items, and at
 # exactly half and half + 1 distinct values (the edge of the CSV writer's
 # once-per-distinct-value lookup).
 special_floats = st.sampled_from([-0.0, 0.0, float("nan"), float("inf"), -float("inf")])
@@ -72,11 +73,11 @@ long_float_lists = st.one_of(
             min_size=1,
             max_size=8,
         ),
-        st.integers(2 * _SLICE + 1, 3 * _SLICE),
+        st.integers(2 * LONG + 1, 3 * LONG),
     ),
     st.builds(
         lambda half, extra, seed: half_distinct_floats(2 * half, half + extra, seed),
-        st.integers(_SLICE + 1, _SLICE + 20),
+        st.integers(LONG + 1, LONG + 20),
         st.sampled_from([0, 1]),
         st.integers(0, 2**32 - 1),
     ),
@@ -132,11 +133,12 @@ def test_long_number_lists_equal_indented_json_dumps(
     assert_same_text(written(value, directory), json.dumps(value, indent=2, sort_keys=True))
 
 
-# float arrays stand for their .tolist(): 1-D arrays drawn as the float
-# lists above (across slice edges, both sides of the half-distinct edge,
-# with -0.0, NaN and ±inf), laid out as 2-D rows, as strided views, and
-# empty arrays
-float_arrays = st.one_of(
+# arrays stand for their .tolist(): 1-D float arrays drawn as the float
+# lists above (long, both sides of the half-distinct edge, with -0.0, NaN
+# and ±inf), laid out as 2-D rows, as strided views; int and bool arrays,
+# 0-d arrays, and empty arrays of each dtype
+ARRAY_DTYPES = [np.float64, np.int64, np.int32, np.uint64, np.bool_]
+any_arrays = st.one_of(
     long_float_lists.map(np.array),
     st.builds(
         lambda floats, rows: np.array(floats[: len(floats) // rows * rows]).reshape(rows, -1),
@@ -148,7 +150,14 @@ float_arrays = st.one_of(
         lambda floats: np.array(floats[: len(floats) // 2 * 2]).reshape(-1, 2).T[:, ::2],
         long_float_lists,
     ),
-    st.sampled_from([np.zeros(0), np.zeros((2, 0)), np.zeros((0, 3))]),
+    hnp.arrays(
+        st.sampled_from(ARRAY_DTYPES),
+        hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+    ),
+    st.sampled_from([
+        np.zeros(shape, dtype)
+        for dtype in ARRAY_DTYPES for shape in [(0,), (2, 0), (0, 3)]
+    ]),
 )
 
 
@@ -157,7 +166,7 @@ float_arrays = st.one_of(
     deadline=None,
     phases=[Phase.explicit, Phase.reuse, Phase.generate],
 )
-@given(array=float_arrays, nest=st.sampled_from(["bare", "in-dict", "in-list"]))
+@given(array=any_arrays, nest=st.sampled_from(["bare", "in-dict", "in-list"]))
 def test_float_arrays_equal_indented_json_dumps_of_their_lists(array, nest, tmp_path_factory):
     value, as_lists = {
         "bare": (array, array.tolist()),
@@ -170,10 +179,10 @@ def test_float_arrays_equal_indented_json_dumps_of_their_lists(array, nest, tmp_
 
 @pytest.mark.parametrize("extra", [0, 1], ids=["at-half", "past-half"])
 def test_csv_distinct_floats_formatted_once(tmp_path, monkeypatch, extra):
-    # a row of 2 * _SLICE + 2 floats: with at most half of them distinct each
+    # a row of 2 * LONG + 2 floats: with at most half of them distinct each
     # distinct value is formatted once, with one more each item is formatted
     # alone; the index cell is formatted too
-    floats = half_distinct_floats(2 * _SLICE + 2, _SLICE + 1 + extra, seed=7)
+    floats = half_distinct_floats(2 * LONG + 2, LONG + 1 + extra, seed=7)
     header = ["m"] + [f"t{t}" for t in range(len(floats))]
     seen = []
 
@@ -185,7 +194,7 @@ def test_csv_distinct_floats_formatted_once(tmp_path, monkeypatch, extra):
     path = tmp_path / "row.csv"
     write_csv(header, [[0, np.array(floats)]], path)
     assert path.read_bytes() == csv_text(header, [[0, *floats]]).encode()
-    assert len(seen) == 1 + (len(floats) if extra else _SLICE + 1)
+    assert len(seen) == 1 + (len(floats) if extra else LONG + 1)
 
 
 @pytest.mark.parametrize("integral", [False, True])

@@ -2,6 +2,7 @@ import json
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -406,6 +407,13 @@ class TestNumericalChecks:
         with pytest.raises(NumericalDomainError) as err:
             bnmf.fit(X, 2, bnmf.FitOptions(max_iters=5, seed=0))
         assert str(err.value) == "non-finite log expectation at index (0, 0, 5)"
+
+    def test_start_overflow_warns_from_bnmf(self):
+        # raised in this package, the overflow falls under the tier-1
+        # filter that turns the package's RuntimeWarnings into errors
+        with pytest.warns(RuntimeWarning, match="overflow") as record:
+            bnmf._start(overflowing_column(), 2, 0)
+        assert {Path(w.filename).name for w in record} == {"bnmf.py"}
 
     def test_lower_bound_names_a_negative_allocation(self):
         X = random_matrix(51, T=8)

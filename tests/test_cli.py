@@ -247,6 +247,8 @@ BAD_ENTRIES = [
     ("factorization", "k", True),
     ("factorization", "k_min", "x"),
     ("factorization", "k_max", True),
+    ("factorization", "k", 10**12),
+    ("factorization", "k_max", 1025),
     ("factorization", "max_iters", True),
     ("recovery", "k1", True),
     (None, "seed", True),
@@ -750,6 +752,23 @@ class TestMain:
         doc["output_dir"] = 5
         assert cli.main(["validate", str(write_config(tmp_path, doc))]) == 2
         assert "output_dir" in capsys.readouterr().out
+
+    def test_absurd_order_exits_2_naming_the_bound(self, tmp_path, capsys):
+        # unbounded, an order of 10**12 reached the fit, whose K x T start
+        # numpy cannot allocate: a traceback, not the error JSON
+        doc = {
+            "output_dir": str(tmp_path / "out"),
+            "register": {"horizon": 64, "dim": 16},
+            "factorization": {"k": 10**12},
+        }
+        path = write_config(tmp_path, doc)
+        assert cli.main(["pipeline", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert "k must be" in payload["message"] and "1024" in payload["message"]
+        assert not (tmp_path / "out").exists()
+        assert cli.main(["validate", str(path)]) == 2
+        assert "1024" in capsys.readouterr().out
 
     def test_bad_seed_flag_exits_2_before_any_stage(self, tmp_path, capsys):
         # the register's own seed lets simulate run on a bad run seed
