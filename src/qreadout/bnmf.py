@@ -12,13 +12,14 @@ order is chosen by maximizing the variational lower bound over K.
 All updates are deterministic given the seed; a fit never mutates its
 input model, it returns a fresh one.
 
-``fit`` runs its sweeps on the observation columns that hold data.  An
-all-zero column receives no counts, so from the second sweep on its
+``fit`` starts and runs its sweeps on the observation columns that hold
+data.  An all-zero column receives no counts, so from the start its
 activation posterior is the same on every such column (shape 1, mean the
 activation scale), and its share of each sum over time is one constant
-per basis times the number of such columns.  That moves the last bits
-of a fit with all-zero columns against the full-width step functions
-below; a fit with none is bit-identical to them.
+per basis times the number of such columns: a fit sees its all-zero
+columns only by their count.  That moves the last bits of a fit with
+all-zero columns against the full-width step functions below; a fit with
+none is bit-identical to them.
 
 ``fit`` scores each sweep by the bound in collapsed form.  After the Gamma
 step the shapes are a = 1 + kappa_u and b = 1 + kappa_w, and the scales
@@ -244,11 +245,16 @@ def init_model(X, K: int, seed: int = 0) -> FactorModel:
 
     Prior rates start at one (unit-mean exponential priors), allocations
     start uniform at 1/K, and the Gamma shapes/scales are seeded so the
-    initial reconstruction matches the data's magnitude.
+    initial reconstruction matches the data's magnitude.  This is ``fit``'s
+    start at full width: an all-zero column's activations start at shape 1
+    and scale sqrt(EPS / K), with no random draw.
     """
     X = _as_observation(X)
-    a_shape, a_scale, b_shape, b_scale = _start(X, K, seed)
     M, T = X.shape
+    cols, x = _data_columns(X)
+    a_shape, a_scale, b_shape, b_scale = _start(x, T, K, seed)
+    b_shape = _widen(b_shape, 1.0, cols, T)
+    b_scale = _widen(b_scale, math.sqrt(EPS / K), cols, T)
     model = FactorModel(
         bases=a_shape * a_scale,
         activations=b_shape * b_scale,
@@ -267,30 +273,31 @@ def init_model(X, K: int, seed: int = 0) -> FactorModel:
     return model
 
 
-def _start(X: np.ndarray, K: int, seed: int) -> tuple[np.ndarray, ...]:
-    """The starting basis and activation Gamma shapes and scales."""
+def _data_columns(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The indices of the columns of X that hold data, and X on them: X
+    itself where every column does, since numpy's row sums of a copy can
+    differ in their last bits."""
+    cols = np.flatnonzero(X.any(axis=0))
+    return cols, (np.take(X, cols, axis=1) if cols.size < X.shape[1] else X)
+
+
+def _start(x: np.ndarray, T: int, K: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The starting basis and activation Gamma shapes and scales, on the
+    data columns ``x`` of a ``T``-column observation."""
     if K < 1:
         raise ValidationError(f"K must be >= 1, got {K}")
     rng = np.random.default_rng(seed)
-    M, T = X.shape
+    M = x.shape[0]
 
-    # the means as X.mean computes them, a sum then a true divide, called
-    # here so that an overflow warns from this module
-    row_scale = np.sqrt((np.add.reduce(X, axis=1) / T + EPS) / K)   # (M,)
-    col_scale = np.sqrt((np.add.reduce(X, axis=0) / M + EPS) / K)   # (T,)
+    # the means over all T columns, a sum then a true divide as X.mean
+    # computes them, called here so that an overflow warns from this module
+    row_scale = np.sqrt((np.add.reduce(x, axis=1) / T + EPS) / K)   # (M,)
+    col_scale = np.sqrt((np.add.reduce(x, axis=0) / M + EPS) / K)   # (T_data,)
 
     a_shape = 1.0 + rng.uniform(0.0, 0.05, size=(M, K))
     a_scale = row_scale[:, None] * rng.uniform(0.9, 1.1, size=(M, K)) / a_shape
-    # the K x T draws are rng.uniform's, low + (high - low) * random(),
-    # finished in place with no fresh K x T temporaries
-    b_shape = rng.random((K, T))
-    b_shape *= 0.05
-    b_shape += 1.0
-    b_scale = rng.random((K, T))
-    b_scale *= 1.1 - 0.9
-    b_scale += 0.9
-    b_scale *= col_scale
-    b_scale /= b_shape
+    b_shape = 1.0 + rng.uniform(0.0, 0.05, size=(K, x.shape[1]))
+    b_scale = rng.uniform(0.9, 1.1, size=(K, x.shape[1])) * col_scale / b_shape
     return a_shape, a_scale, b_shape, b_scale
 
 
@@ -492,11 +499,9 @@ class _Swept:
     The activation arrays and ``eta`` hold the data columns
     ``cols`` of a ``T``-column observation only.  The last sweep's
     allocation read the basis log means ``eta_bases``, and on the all-zero
-    columns the activation scale ``eta_scale`` after two or more sweeps,
-    or the random start's K x T activation shapes and scales ``start``
-    after one.  Each of those two is None where no all-zero column needs
-    it, so no full-width array outlives the sweeps unless finishing
-    reads it.
+    columns the activation scale ``eta_scale``: the start's after one
+    sweep, the last but one sweep's after more.  No full-width array
+    outlives the sweeps.
     """
 
     K: int
@@ -517,8 +522,7 @@ class _Swept:
     b_scale: np.ndarray
     eta: np.ndarray
     eta_bases: np.ndarray
-    eta_scale: np.ndarray | None
-    start: tuple | None
+    eta_scale: np.ndarray
 
     def full_activations(self) -> np.ndarray:
         """The activation means at full width: on each all-zero column,
@@ -550,17 +554,17 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     term, the log Gamma sums of the shapes and a few numbers per basis.
     The expected-count sums are shared by the Gamma step and the bound.
     Every per-column quantity is computed on the columns of X that hold
-    data only.  An all-zero column gets no counts, so its activation shape
-    is exactly 1 and its mean the activation scale; its terms in the sums
+    data only, the random start too.  An all-zero column gets no counts,
+    so its activation shape is exactly 1 and its mean the activation
+    scale, from the start (scale sqrt(EPS / K)) on; its terms in the sums
     over time are folded into one constant per basis, times the number of
-    such columns.  The first sweep is the exception: it reads the random
-    start on every column.  With no all-zero column this is the plain
-    full-width sweep, whose arrays are bit-identical to the step
-    functions'.  Stops when the relative bound change drops below
-    ``opts.tol`` or after ``opts.max_iters`` sweeps; a non-converged model
-    is returned flagged, not raised.  An all-zero observation
-    short-circuits after the first sweep since there is no mass to
-    allocate.
+    such columns, so a fit sees those columns only by their count.  With
+    no all-zero column this is the plain full-width sweep, whose arrays
+    are bit-identical to the step functions'.  Stops when the relative
+    bound change drops below ``opts.tol`` or after ``opts.max_iters``
+    sweeps; a non-converged model is returned flagged, not raised.  An
+    all-zero observation short-circuits after the first sweep since there
+    is no mass to allocate.
 
     A sweep works in place in buffers allocated once per fit.  Three are
     M x K x T: the shifted logits, the allocation and the expected counts;
@@ -573,7 +577,7 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     shifted logits, log s and the log Gammas, each pair of operands held
     as views into two flat buffers.  A finite bound has every shape and
     scale of its sweep finite, so the next sweep's logits are finite: only
-    the random start's are checked, and a non-finite one is named by its
+    the start's are checked, and a non-finite one is named by its
     full-width index.
 
     The sweeps end in an unfinished state on the data columns.  Finishing
@@ -587,34 +591,30 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     """
     opts = opts or FitOptions()
     X = _as_observation(X)
-    a_shape, a_scale, b_shape, b_scale = _start(X, K, opts.seed)
+    M, T = X.shape
+    cols, x = _data_columns(X)
+    n0 = T - cols.size
+    a_shape, a_scale, b_shape, b_scale = _start(x, T, K, opts.seed)
     rate_u, rate_w = FactorModel.prior_rate_u, FactorModel.prior_rate_w
     if not (rate_u > 0 and rate_w > 0):
         raise NumericalDomainError("prior rates must be positive for the bound")
-    M, T = X.shape
-    cols = np.flatnonzero(X.any(axis=0))
-    n0 = T - cols.size
-    where = cols if n0 else None
 
-    def take(arr):
-        # np.take keeps C order, as the full-width arrays have; numpy sums
-        # eta over K in another order when K is the contiguous axis
-        return np.take(arr, cols, axis=1) if n0 else arr
-
-    x = take(X)
     # the bound's terms that no sweep changes: the data term and the
     # priors' log rates
     fixed = -float(special.gammaln(x + 1.0).sum()) + K * (
         M * math.log(rate_u) + T * math.log(rate_w)
     )
     log_bases = special.psi(a_shape) + np.log(a_scale)
-    log_activations = special.psi(take(b_shape)) + np.log(take(b_scale))
+    log_activations = special.psi(b_shape) + np.log(b_scale)
     # the start's logits; a finite bound makes the next sweep's finite
     if not (np.isfinite(log_bases).all() and np.isfinite(log_activations).all()):
         logits = log_bases[:, :, None] + log_activations[None, :, :]
-        raise _logit_error(_first_non_finite(logits, where))
+        raise _logit_error(_first_non_finite(logits, cols if n0 else None))
     sum_w = _row_sums(b_shape, b_scale)
-    b_start = b_shape, b_scale  # what a one-sweep fit's allocation reads
+    # an all-zero column starts where every sweep leaves it, at shape 1 and
+    # one scale a basis: its column scale, the mean its random draw had
+    b_scale = np.full((K, 1), math.sqrt(EPS / K))
+    sum_w += n0 * b_scale[:, 0]
 
     # the buffers of the docstring: the bound's dot product is of weights
     # [kappa, -x, -1] with terms [l, log s, log Gamma(shapes)].  over_k
@@ -717,8 +717,7 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
         b_scale=b_scale,
         eta=eta,
         eta_bases=eta_bases,
-        eta_scale=before if n0 and len(trace) > 1 else None,
-        start=b_start if n0 and len(trace) == 1 else None,
+        eta_scale=before,
     )
     return _finish(swept) if finish else swept
 
@@ -727,11 +726,8 @@ def _finish(s: _Swept) -> FactorModel:
     """The full-width model of a swept fit, with its control estimates."""
     eta, log_activations, b_shape = s.eta, s.log_activations, s.b_shape
     if s.cols.size < s.T:
-        if s.start is not None:  # one sweep, which read the start on every column
-            eta = _eta(s.eta_bases, special.psi(s.start[0]) + np.log(s.start[1]))
-        else:
-            empty = _eta(s.eta_bases, special.psi(1.0) + np.log(s.eta_scale))
-            eta = _widen(eta, empty, s.cols, s.T)
+        empty = _eta(s.eta_bases, special.psi(1.0) + np.log(s.eta_scale))
+        eta = _widen(eta, empty, s.cols, s.T)
         log_activations = _widen(
             log_activations, special.psi(1.0) + np.log(s.b_scale), s.cols, s.T
         )

@@ -349,8 +349,8 @@ def _load(cfg: RunConfig, record: RunRecord, name: str, *args):
             return parse(json.load(fh), *args)
     # the parsers' own checks raise ValueError subclasses; nesting past the
     # recursion limit raises RecursionError, an integer past the float
-    # range where a float belongs OverflowError, and a declared shape too
-    # large to allocate (a config's horizon agreeing with it) MemoryError
+    # range where a float belongs OverflowError, and an artifact too large
+    # to hold MemoryError
     except (
         ValueError, KeyError, TypeError, RecursionError, OverflowError, MemoryError
     ) as exc:

@@ -34,6 +34,11 @@ NUM_SOURCES = 2  # target + residual; the whole pipeline is specialized to this
 _BAND_WIDTH_CAP = 4
 _ROW_RMS = 25.0
 
+# the most evolution steps a config may ask for, 50 times the benchmark's
+# 20000: a channel row is 8 MB there, and simulate builds a few of them.
+# It bounds dim too, since horizon >= dim
+MAX_HORIZON = 10**6
+
 
 @dataclass(frozen=True)
 class RegisterConfig:
@@ -43,7 +48,8 @@ class RegisterConfig:
     ----------
     horizon : int
         Number of evolution steps T (columns of the observation), at least
-        ``dim``: each component gets its own time window.
+        ``dim``: each component gets its own time window; at most
+        ``MAX_HORIZON``.
     dim : int
         Number of input components n (the spectral axis).
     residual_strength : float
@@ -70,8 +76,10 @@ class RegisterConfig:
             raise ConfigurationError(f"residual_strength must be a real number, got {s!r}")
         # stored as a float, so the written config reads 0.0 for 0
         object.__setattr__(self, "residual_strength", float(s))
-        if self.horizon < 1:
-            raise ConfigurationError(f"horizon must be >= 1, got {self.horizon}")
+        if not 1 <= self.horizon <= MAX_HORIZON:
+            raise ConfigurationError(
+                f"horizon must be >= 1 and <= {MAX_HORIZON}, got {self.horizon}"
+            )
         if self.dim < 1:
             raise ConfigurationError(f"dim must be >= 1, got {self.dim}")
         if not 0.0 <= self.residual_strength <= 1.0:

@@ -249,6 +249,8 @@ BAD_ENTRIES = [
     ("factorization", "k_max", True),
     ("factorization", "k", 10**12),
     ("factorization", "k_max", 1025),
+    ("register", "horizon", 10**13),
+    ("register", "horizon", 10**6 + 1),
     ("factorization", "max_iters", True),
     ("recovery", "k1", True),
     (None, "seed", True),
@@ -608,8 +610,9 @@ class TestMain:
         self, tmp_path, capsys, pipeline_out, name, key, stage
     ):
         # a horizon of 10**15 in the artifact's own config agrees with its
-        # declared shape, so the layout passes its checks and numpy refuses
-        # the 14 PiB rows at once, with MemoryError; that was a traceback
+        # declared shape, so the layout passes its checks; unbounded, numpy
+        # refused the 14 PiB rows at once, with MemoryError (a traceback
+        # before that was caught).  The config's horizon bound refuses it
         doc = config_doc(tmp_path, stage=stage)
         out = Path(doc["output_dir"])
         shutil.copytree(pipeline_out, out)
@@ -620,7 +623,7 @@ class TestMain:
         assert cli.main([stage, "--config", str(write_config(tmp_path, doc))]) == 2
         payload = json.loads(capsys.readouterr().err.strip())
         assert payload["error"] == "ValidationError"
-        assert name in payload["message"] and "MemoryError" in payload["message"]
+        assert name in payload["message"] and "horizon must be" in payload["message"]
 
     @pytest.mark.parametrize("stage", ["recover", "verify"])
     @pytest.mark.parametrize(
@@ -769,6 +772,23 @@ class TestMain:
         assert not (tmp_path / "out").exists()
         assert cli.main(["validate", str(path)]) == 2
         assert "1024" in capsys.readouterr().out
+
+    def test_absurd_horizon_exits_2_naming_the_bound(self, tmp_path, capsys):
+        # unbounded, a horizon of 10**13 reached simulate, whose channel
+        # rows numpy cannot allocate: a traceback, not the error JSON
+        doc = {
+            "output_dir": str(tmp_path / "out"),
+            "register": {"horizon": 10**13, "dim": 16},
+        }
+        path = write_config(tmp_path, doc)
+        assert cli.main(["pipeline", "--config", str(path)]) == 2
+        payload = json.loads(capsys.readouterr().err.strip())
+        assert payload["error"] == "ValidationError"
+        assert "horizon must be" in payload["message"]
+        assert str(10**6) in payload["message"]
+        assert not (tmp_path / "out").exists()
+        assert cli.main(["validate", str(path)]) == 2
+        assert str(10**6) in capsys.readouterr().out
 
     def test_bad_seed_flag_exits_2_before_any_stage(self, tmp_path, capsys):
         # the register's own seed lets simulate run on a bad run seed

@@ -19,6 +19,11 @@ class TestConfigValidation:
         with pytest.raises(ConfigurationError, match="horizon"):
             make_cfg(horizon=0)
 
+    def test_rejects_horizon_past_its_bound(self):
+        assert make_cfg(horizon=register.MAX_HORIZON).horizon == 10**6
+        with pytest.raises(ConfigurationError, match=r"horizon must be .* <= 1000000"):
+            make_cfg(horizon=register.MAX_HORIZON + 1)
+
     def test_rejects_bad_dim(self):
         with pytest.raises(ConfigurationError, match="dim"):
             make_cfg(dim=0)
