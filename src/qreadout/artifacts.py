@@ -6,16 +6,16 @@ may stand wherever a list may, meaning its ``.tolist()``.  The standard
 encoder writes them: since the column layout below, every JSON artifact
 is a few kilobytes, so its per-number cost in Python does not show.
 
-The large float arrays of the stage artifacts hold data in few columns:
-at 20000x3000 the observation has 54 of its 20000 columns nonzero, the
-activations are one constant a basis on every other column, and each
-3000-entry weight vector has 4 nonzero entries.  ``encode_columns`` writes
-such an array as ``{"shape", "cols", "data", "fill"}``: each row's most
-frequent value, found by sorting the floats' bits; the columns where any
-item's bits differ from its row's fill; and those columns, row-major.  A
-poor fill only costs size, never correctness.  ``decode_columns`` checks
-the layout and rebuilds the full-width array, bit-equal to the dense
-layout's parse, and still reads the dense layouts written before it.
+Every float array of a stage artifact is written in one column layout.
+The large ones hold data in few columns: at 20000x3000 the observation
+has 54 of its 20000 columns nonzero, the activations are one constant a
+basis on every other column, and each 3000-entry weight vector has 4
+nonzero entries.  ``encode_columns`` writes an array as ``{"shape",
+"cols", "data", "fill"}``: each row's most frequent value, found by
+sorting the floats' bits; the columns where any item's bits differ from
+its row's fill; and those columns, row-major.  A poor fill only costs
+size, never correctness.  ``decode_columns`` checks the layout and
+rebuilds the full-width array, and refuses any other layout.
 
 ``write_csv(header, rows, path)`` writes the bytes the standard ``csv``
 module's writer writes for rows of Python ints, floats and bools: each
@@ -23,15 +23,13 @@ cell's ``repr`` (for these types the writer's own text, which needs no
 quoting), comma-separated, with CRLF line ends.  A cell may also be a
 1-D float array, which stands for its items as Python floats, one cell
 each.  A channel row of 20000 steps is 0.0 outside 27 of them (at
-20000x3000), so when at most half an array's values are distinct the row
-is written from its structure: each distinct value is formatted once,
-found by sorting the bits as above (so -0.0 and 0.0, and each NaN, keep
-their own text), and each run of the row's most frequent value is that
-text repeated, one string multiplication a run.  Such a row costs its
-other items, not one string per step.  When more are distinct, each item
-is formatted alone.  The header may be handed over as its comma-joined
-text, as ``simulate`` hands over the channel files' 20001 names, built
-once.
+20000x3000), so a row is written from its structure: each distinct value
+is formatted once, found by sorting the bits as above (so -0.0 and 0.0,
+and each NaN, keep their own text), and each run of the row's most
+frequent value is that text repeated, one string multiplication a run.
+Such a row costs its other items, not one string per step.  The header
+may be handed over as its comma-joined text, as ``simulate`` hands over
+the channel files' 20001 names, built once.
 
 Both writers write each artifact to a new file: a file already at the
 path is removed first, never truncated.  Every stage rewrites
@@ -102,25 +100,19 @@ def encode_columns(arr: np.ndarray) -> dict:
 
 
 def decode_columns(entry, name: str, expect: tuple | None = None) -> np.ndarray:
-    """The float array an artifact holds under the key ``name``, in any layout it was written in.
+    """The float array an artifact holds under the key ``name``, in the column layout.
 
     The column layout of ``encode_columns`` is checked before it is
-    rebuilt at full width; ``ValidationError`` names ``name`` when its
+    rebuilt at full width; ``ValidationError`` names ``name`` when the
+    entry is not an object holding the layout's four keys, or when its
     ``shape``, ``cols``, ``fill`` or ``data`` do not fit together, and
     ``DimensionError`` when its ``shape`` is not ``expect`` (a size None
     there matches any).  A layout with no cols declares its width in
     ``shape`` alone, so ``expect`` is what bounds the allocation by the
-    artifact's config.  The dense layouts load as before, sized by their
-    file: a list, nested for a matrix, and ``{"shape", "data"}`` with the
-    items row-major; their shape is checked against ``expect`` once parsed.
+    artifact's config.
     """
-    if not isinstance(entry, dict) or "cols" not in entry:
-        dense = (
-            np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-            if isinstance(entry, dict) else np.asarray(entry, dtype=float)
-        )
-        _check_shape(name, list(dense.shape), expect)
-        return dense
+    if not (isinstance(entry, dict) and {"shape", "cols", "data", "fill"} <= entry.keys()):
+        raise ValidationError(f"{name}: must be a column layout: shape, cols, data, fill")
     shape, cols = entry["shape"], entry["cols"]
     if not (
         isinstance(shape, list) and len(shape) in (1, 2)
@@ -190,12 +182,10 @@ def _csv_line(row) -> str:
 def _array_texts(cell: np.ndarray) -> list[str]:
     """A 1-D float array's items as CSV text, a comma after each item, in pieces.
 
-    When at most half the values are distinct, each distinct value is
-    formatted once, and each run of the most frequent value (the least
-    such on a tie, as ``encode_columns`` picks its fill) is its text
-    repeated; so a row costs its other items, not its length.  When more
-    are distinct, a lookup costs more than formatting each item, and each
-    is formatted alone.
+    Each distinct value is formatted once, and each run of the most
+    frequent value (the least such on a tie, as ``encode_columns`` picks
+    its fill) is its text repeated; so a row costs its other items, not
+    its length.
     """
     floats = np.asarray(cell, dtype=float)
     if not len(floats):
@@ -204,8 +194,6 @@ def _array_texts(cell: np.ndarray) -> list[str]:
     # a float64 array is viewed as it is, whatever its strides
     bits = floats.view(np.int64)
     uniq, counts = _distinct(bits)
-    if 2 * len(uniq) > len(bits):
-        return [",".join(map(repr, floats.tolist())) + ","]
     texts = [text + "," for text in map(repr, uniq.view(float).tolist())]
     most = np.argmax(counts)
     fill = texts[most]

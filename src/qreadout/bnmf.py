@@ -191,15 +191,15 @@ class FitResult:
                 raise ValidationError(f"{name} must be finite and nonnegative")
 
     def to_dict(self) -> dict:
-        # arrays as they are, for artifacts.write_json: the bases row-major
-        # with their shape, the activations (one constant a basis on every
-        # column with no data) in the column layout
+        # arrays as they are, for artifacts.write_json, both in the column
+        # layout (the activations are one constant a basis on every column
+        # with no data)
         return {
             "K": self.K,
             "converged": self.converged,
             "iterations": self.iterations,
             "elbo_trace": list(self.elbo_trace),
-            "bases": {"shape": list(self.bases.shape), "data": self.bases.ravel()},
+            "bases": encode_columns(self.bases),
             "activations": encode_columns(self.activations),
         }
 
@@ -299,12 +299,6 @@ def _start(x: np.ndarray, T: int, K: int, seed: int) -> tuple[np.ndarray, ...]:
     b_shape = 1.0 + rng.uniform(0.0, 0.05, size=(K, x.shape[1]))
     b_scale = rng.uniform(0.9, 1.1, size=(K, x.shape[1])) * col_scale / b_shape
     return a_shape, a_scale, b_shape, b_scale
-
-
-def _row_sums(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The sums over t of ``a * b``, one row at a time: bit-equal to
-    ``(a * b).sum(axis=1)``, with no K x T product."""
-    return np.array([np.add.reduce(ak * bk) for ak, bk in zip(a, b)])
 
 
 def update_eta(model: FactorModel, X) -> FactorModel:
@@ -610,7 +604,7 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     if not (np.isfinite(log_bases).all() and np.isfinite(log_activations).all()):
         logits = log_bases[:, :, None] + log_activations[None, :, :]
         raise _logit_error(_first_non_finite(logits, cols if n0 else None))
-    sum_w = _row_sums(b_shape, b_scale)
+    sum_w = np.add.reduce(b_shape * b_scale, axis=1)
     # an all-zero column starts where every sweep leaves it, at shape 1 and
     # one scale a basis: its column scale, the mean its random draw had
     b_scale = np.full((K, 1), math.sqrt(EPS / K))

@@ -74,7 +74,6 @@ class RunConfig:
     register: register.RegisterConfig = field(init=False)
     factorization: bnmf.FitOptions = field(init=False)
     orders: tuple[int, int] = field(init=False)
-    transform: int = field(init=False)
     k1: int | None = field(init=False)
     sweep: tuple[float, list] = field(init=False)
 
@@ -86,7 +85,6 @@ class RunConfig:
         self.output_dir = Path(values["output_dir"])
         self.register = values["register"]
         self.factorization, self.orders = values["factorization"]
-        self.transform = values["transform"]
         self.k1 = values["recovery"]
         self.sweep = values["sweep"]
 
@@ -226,8 +224,8 @@ def _sweep(sec: dict, seed: int) -> tuple[float, list]:
 
 
 # each section's builder, called with the section over its defaults and the run
-# seed.  No stage reads the partition section; it is still checked, so that
-# documents holding it run unchanged
+# seed.  No stage reads the partition or transform section; each is still
+# checked, so that documents holding it run unchanged and a bad one is refused
 _SECTIONS = {
     "register": _register,
     "factorization": _factorization,
@@ -461,14 +459,6 @@ def _stage_recover(cfg: RunConfig, record: RunRecord) -> None:
         state = recovery.build_superposition(part, k1)
         out_state, table = recovery.extract_target(state, k1, K)
 
-        c_b = part_mod.transform_bases(model, cfg.transform)
-        clustered = recovery.regroup(c_b, part, cfg.transform)
-        composite = [
-            [[float(v.real), float(v.imag)] for v in row] for row in clustered.composite
-        ]
-        doc = {"cluster_sizes": clustered.sizes, "composite": composite}
-        _save(cfg, record, "clustered_bases.json", doc)
-
         result = recovery.finalize(
             out_state,
             sizes[0],
@@ -534,10 +524,11 @@ _READS = {
 
 # each stage: its function and every file it may write besides run.json.
 # run() removes those files before the stage runs, so a rerun into a used
-# directory keeps none that this run does not write (clustered_bases.json and
-# prob_table.csv exist only with a nonempty target cluster).  The partition
-# stage's first name is the score table an earlier version wrote, removed so
-# that no partitioning over such a directory keeps it
+# directory keeps none that this run does not write (prob_table.csv exists
+# only with a nonempty target cluster).  The first names of the partition and
+# recover stages are files an earlier version wrote, the score table and the
+# inverse-transformed bases, removed so that no rerun over such a directory
+# keeps them
 _WRITES = {
     "simulate": (_stage_simulate, (
         "ground_truth.json", "ground_truth.csv", "observation.csv", "observation.json",

@@ -1,10 +1,11 @@
-"""Target-source recovery: inverse constant-Q, regrouping, concentration.
+"""Target-source recovery: concentration, readout, scoring.
 
-Chains the inverse constant-Q transform over the partitioned bases, builds
-the anchored register superposition for the two clusters, applies the
-inverse short-time transform to concentrate the target cluster's mass on
-one measurable position, and finishes with a DFT that leaves the uniform
-target state over the recovered bases.
+Builds the anchored register superposition for the two clusters, applies
+the inverse short-time transform to concentrate the target cluster's mass
+on one measurable position, and finishes with a DFT that leaves the
+uniform target state over the recovered bases.  ``regroup`` inverts the
+constant-Q transform of the partitioned bases and splits them by cluster;
+no stage calls it, since the round trip gives back the bases over K.
 """
 
 from __future__ import annotations

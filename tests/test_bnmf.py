@@ -528,23 +528,6 @@ class TestFitMatchesStepFunctions:
         for name in bnmf.FactorModel._ARRAY_FIELDS:
             assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
-    def test_row_sums_match_the_axis_sum(self):
-        # the start's activation sums, row by row, are the K x T product's
-        # axis-1 sums bit for bit: every width through 1024, which holds each
-        # of numpy's pairwise-summation paths, and the widths around 8192,
-        # 16384 and up to the benchmark's 20000 steps
-        rng = np.random.default_rng(54)
-        shape = 1.0 + rng.uniform(0.0, 0.05, size=(5, 20001))
-        scale = rng.uniform(0.9, 1.1, size=(5, 20001)) * rng.uniform(1e-3, 10.0, 20001)
-        widths = [*range(1, 1025), *range(8184, 8201), *range(16376, 16393),
-                  *range(19937, 20002)]
-        for T in widths:
-            for K in range(1, 6):
-                a = np.ascontiguousarray(shape[:K, :T])
-                b = np.ascontiguousarray(scale[:K, :T])
-                got, want = bnmf._row_sums(a, b), (a * b).sum(axis=1)
-                assert got.tobytes() == want.tobytes(), (K, T)
-
     @pytest.mark.parametrize("K", [1, 2, 4])
     def test_empty_columns_give_a_valid_model(self, K):
         X = zeroed(random_matrix(40, M=2, T=200, scale=5.0), some_columns(40, 200))
@@ -801,12 +784,12 @@ class TestSerialization:
         write_json(m.result().to_dict(), tmp_path / "model.json")
         with open(tmp_path / "model.json") as fh:
             doc = json.load(fh)
-        assert doc["bases"]["shape"] == [2, 2]
-        # the activations in the column layout, whose decoding is the fit's
-        assert sorted(doc["activations"]) == ["cols", "data", "fill", "shape"]
-        assert doc["activations"]["shape"] == [2, 8]
-        decoded = decode_columns(doc["activations"], "activations")
-        assert decoded.tobytes() == m.activations.tobytes()
+        # both matrices in the column layout, whose decoding is the fit's
+        for key, shape in (("bases", [2, 2]), ("activations", [2, 8])):
+            assert sorted(doc[key]) == ["cols", "data", "fill", "shape"], key
+            assert doc[key]["shape"] == shape
+            decoded = decode_columns(doc[key], key)
+            assert decoded.tobytes() == getattr(m, key).tobytes(), key
         assert "eta" not in doc
         back = bnmf.FitResult.from_dict(doc)
         assert np.array_equal(back.bases, m.bases)

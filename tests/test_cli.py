@@ -170,8 +170,9 @@ class TestDeterminism:
     @pytest.mark.parametrize("how", ["pipeline", "staged"])
     def test_fewer_bases_over_a_used_directory_leave_no_stale_file(self, tmp_path, how):
         # a K = 1 run over a default seed-0 directory (K* = 2), into which
-        # a scores.csv of an earlier version's K >= 2 partition stage is
-        # planted, writes what a fresh K = 1 run writes, and nothing more
+        # a scores.csv of an earlier version's K >= 2 partition stage and a
+        # clustered_bases.json of its recover stage are planted, writes what
+        # a fresh K = 1 run writes, and nothing more
         tiny = {"register": {"horizon": 64, "dim": 16}}
         configs = {"default": tiny, "k1": dict(tiny, factorization={"k": 1})}
         for name, doc in configs.items():
@@ -185,22 +186,26 @@ class TestDeterminism:
                 assert cli.main(argv) == 0
 
         run("default", used, ["pipeline"])
-        (used / "scores.csv").write_text("k,q1,q2,q_total\n")
+        stale = {"scores.csv": "k,q1,q2,q_total\n", "clustered_bases.json": "{}"}
+        for name, text in stale.items():
+            (used / name).write_text(text)
         run("k1", used, ["pipeline"] if how == "pipeline" else cli._STEPS["pipeline"])
         run("k1", fresh, ["pipeline"])
-        assert "scores.csv" not in artifact_bytes(fresh)
+        assert not stale.keys() & artifact_bytes(fresh).keys()
         assert artifact_bytes(used) == artifact_bytes(fresh)
 
     def test_each_stage_writes_the_files_it_declares(self, tmp_path):
         # every stage run on its own adds exactly its declared files (this
         # config reaches K* >= 2 with a nonempty target cluster, so the
-        # conditional ones are written too), but scores.csv, which the
-        # partition stage only removes
+        # conditional ones are written too), but scores.csv and
+        # clustered_bases.json, which the partition and recover stages only
+        # remove
         seen = set()
+        removed_only = {"scores.csv", "clustered_bases.json"}
         for stage in ("simulate", "fit", "partition", "recover", "verify", "sweep"):
             run_stage(tmp_path, stage, doc=config_doc(tmp_path, stage=stage, sweep=SWEEP))
             names = set(artifact_bytes(tmp_path / "out"))
-            assert names - seen == set(cli._WRITES[stage][1]) - {"scores.csv"}, stage
+            assert names - seen == set(cli._WRITES[stage][1]) - removed_only, stage
             seen = names
 
 
@@ -373,9 +378,9 @@ def test_pipeline_hands_artifacts_on_without_parsing(tmp_path, monkeypatch, pipe
 
 
 def dense(name: str, doc: dict) -> dict:
-    """Artifact ``name`` rewritten in the dense layout of the column layout's
-    predecessor: nested lists for the register's arrays, ``{"shape", "data"}``
-    for the model's."""
+    """Artifact ``name`` rewritten in the dense layouts written before the
+    column layout: nested lists for the register's arrays, ``{"shape",
+    "data"}`` for the model's."""
     if name == "observation.json":
         values = register.ObservationMatrix.from_dict(doc).values
         return dict(doc, values=values.tolist())
@@ -383,26 +388,34 @@ def dense(name: str, doc: dict) -> dict:
         gt, _ = register.ground_truth_from_dict(doc)
         return dict(doc, **{key: getattr(gt, key).tolist() for key in
                             ("source_rows", "input_weights", "residual_weights")})
-    acts = bnmf.FitResult.from_dict(doc).activations
-    return dict(doc, activations={"shape": list(acts.shape), "data": acts.ravel().tolist()})
+    model = bnmf.FitResult.from_dict(doc)
+    return dict(doc, **{key: {"shape": list(arr.shape), "data": arr.ravel().tolist()}
+                        for key, arr in (("bases", model.bases),
+                                         ("activations", model.activations))})
 
 
-def test_dense_layouts_still_load_bit_equal(tmp_path, pipeline_out):
-    cfg = cli.RunConfig(stage="verify", seed=0, output_dir=tmp_path, document={})
-    for name in ("observation.json", "ground_truth.json", "model.json"):
-        doc = json.loads((pipeline_out / name).read_text())
-        (tmp_path / name).write_text(json.dumps(dense(name, doc), indent=2, sort_keys=True))
-        columns = cli._READS[name][1](doc)
-        loaded = cli._load(cfg, cli.RunRecord(stage="verify", seed=0), name)
-        if name == "ground_truth.json":
-            pairs = [(getattr(loaded[0], k), getattr(columns[0], k))
-                     for k in ("source_rows", "input_weights", "residual_weights")]
-        elif name == "observation.json":
-            pairs = [(loaded.values, columns.values)]
-        else:
-            pairs = [(loaded.bases, columns.bases), (loaded.activations, columns.activations)]
-        for got, want in pairs:
-            assert got.shape == want.shape and got.tobytes() == want.tobytes(), name
+def test_dense_layouts_exit_2_naming_the_file(tmp_path, capsys, pipeline_out):
+    # the dense layouts are no longer read: the stage reading one exits 2
+    # with the error JSON naming the file, its first array's key and the
+    # stage to rerun, and no traceback
+    for name, key, stage in [
+        ("observation.json", "values", "fit"),
+        ("ground_truth.json", "source_rows", "recover"),
+        ("model.json", "bases", "partition"),
+    ]:
+        case = tmp_path / name
+        doc = config_doc(case, stage=stage)
+        out = Path(doc["output_dir"])
+        shutil.copytree(pipeline_out, out)
+        art = json.loads((out / name).read_text())
+        (out / name).write_text(json.dumps(dense(name, art), indent=2, sort_keys=True))
+        assert cli.main([stage, "--config", str(write_config(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err, name
+        payload = json.loads(err.strip())
+        assert payload["error"] == "ValidationError", name
+        message = payload["message"]
+        assert name in message and key in message and cli._READS[name][0] in message
 
 
 def same_floats(a, b) -> bool:
@@ -875,7 +888,8 @@ class TestMain:
         assert json.loads((out / "model.json").read_text())["K"] == 2
         assert cli.main(["recover", "--config", path, "--out", str(out)]) == 2
         assert "must divide" in json.loads(capsys.readouterr().err.strip())["message"]
-        assert not (out / "clustered_bases.json").exists()
+        assert not (out / "prob_table.csv").exists()
+        assert not (out / "recovery.json").exists()
 
     def test_pipeline_subcommand(self, tmp_path, capsys):
         path = write_config(tmp_path, config_doc(tmp_path))

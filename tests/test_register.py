@@ -5,7 +5,7 @@ import pytest
 
 from qreadout import register
 from qreadout.artifacts import encode_columns, write_json
-from qreadout.errors import ConfigurationError, DimensionError
+from qreadout.errors import ConfigurationError, DimensionError, ValidationError
 
 
 def make_cfg(**kw):
@@ -203,9 +203,12 @@ class TestSerialization:
             weights = getattr(gt, key).copy()
             weights[-1] = float("nan") if value == "nan" else -1e-3
             doc[key] = encode_columns(weights)
+            error = ConfigurationError
         else:
+            # a dense list is no column layout, whatever its shape
             doc[key] = value
-        with pytest.raises(ConfigurationError, match=key):
+            error = ValidationError
+        with pytest.raises(error, match=key):
             register.ground_truth_from_dict(doc)
 
     @pytest.mark.parametrize("key", ["horizon", "dim"])
