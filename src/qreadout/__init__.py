@@ -24,9 +24,9 @@ from .register import (
     observe,
 )
 from .bnmf import FactorModel, FitOptions, FitResult, fit, select_order
-from .transforms import ProbTable, cqt, dft, icqt, idstft
-from .partition import BasisPartition, PartitionTensors, assign, contract, fit_partition, score, transform_bases
-from .recovery import ClusteredBases, RecoveryResult, build_superposition, extract_target, finalize, regroup
+from .transforms import ProbTable, dft, idstft
+from .partition import BasisPartition
+from .recovery import RecoveryResult, build_superposition, extract_target, finalize
 from .snr import SnrReport, energy, snr_report, sweep_curve
 
 __all__ = [
@@ -48,20 +48,10 @@ __all__ = [
     "fit",
     "select_order",
     "ProbTable",
-    "cqt",
-    "icqt",
     "idstft",
     "dft",
-    "PartitionTensors",
     "BasisPartition",
-    "transform_bases",
-    "contract",
-    "fit_partition",
-    "score",
-    "assign",
-    "ClusteredBases",
     "RecoveryResult",
-    "regroup",
     "build_superposition",
     "extract_target",
     "finalize",

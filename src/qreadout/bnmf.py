@@ -5,9 +5,10 @@ K x T activation matrix.  Every basis entry u_mk carries an exponential
 prior with rate ``alpha_mk`` and every activation entry w_kt one with rate
 ``beta_kt``; the posterior over each entry is a Gamma whose shape/scale are
 updated in closed form, the per-observation allocation over bases is a
-multinomial with parameter eta, and closed-form estimates of the prior
-rates come from the positive root of a quadratic once the fit ends.  Model
-order is chosen by maximizing the variational lower bound over K.
+multinomial with parameter eta, and ``update_control`` gives closed-form
+estimates of the prior rates at a state, the positive root of a quadratic
+(no update reads them, so no fit computes them).  Model order is chosen by
+maximizing the variational lower bound over K.
 
 All updates are deterministic given the seed; a fit never mutates its
 input model, it returns a fresh one.
@@ -53,6 +54,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 from scipy import special
@@ -92,10 +94,9 @@ class FactorModel:
     reconstruction ``bases @ activations``); ``log_bases`` and
     ``log_activations`` are the corresponding posterior means of the logs.
     ``eta`` holds the per-(m, t) multinomial allocation over the K bases.
-    ``ctrl_alpha`` / ``ctrl_beta`` are the closed-form estimates of the
-    exponential prior rates at this state; the rates themselves stay fixed at
-    ``prior_rate_u`` / ``prior_rate_w`` so every sweep is an exact
-    coordinate-ascent move on the bound.
+    The exponential prior rates stay fixed at ``prior_rate_u`` /
+    ``prior_rate_w`` so every sweep is an exact coordinate-ascent move on
+    the bound.
 
     An update shares each basis's Gamma scale over m and each activation
     row's over t, so ``a_scale`` and ``b_scale`` are M x K and K x T at
@@ -111,8 +112,6 @@ class FactorModel:
     a_scale: np.ndarray        # M x K at the start, 1 x K once updated
     b_shape: np.ndarray        # K x T
     b_scale: np.ndarray        # K x T at the start, K x 1 once updated
-    ctrl_alpha: np.ndarray     # M x K
-    ctrl_beta: np.ndarray      # K x T
     K: int
     prior_rate_u: float = 1.0
     prior_rate_w: float = 1.0
@@ -133,8 +132,6 @@ class FactorModel:
             ("a_scale", self.a_scale),
             ("b_shape", self.b_shape),
             ("b_scale", self.b_scale),
-            ("ctrl_alpha", self.ctrl_alpha),
-            ("ctrl_beta", self.ctrl_beta),
         ):
             if not np.all(np.isfinite(arr)) or np.any(arr <= 0):
                 raise NumericalDomainError(f"{name} must be strictly positive and finite")
@@ -143,7 +140,7 @@ class FactorModel:
 
     _ARRAY_FIELDS = (
         "bases", "activations", "log_bases", "log_activations", "eta",
-        "a_shape", "a_scale", "b_shape", "b_scale", "ctrl_alpha", "ctrl_beta",
+        "a_shape", "a_scale", "b_shape", "b_scale",
     )
 
     def result(self) -> "FitResult":
@@ -243,7 +240,7 @@ def _as_observation(X) -> np.ndarray:
 def init_model(X, K: int, seed: int = 0) -> FactorModel:
     """Initialize variational state from perturbed data row/column means.
 
-    Prior rates start at one (unit-mean exponential priors), allocations
+    Prior rates are one (unit-mean exponential priors), allocations
     start uniform at 1/K, and the Gamma shapes/scales are seeded so the
     initial reconstruction matches the data's magnitude.  This is ``fit``'s
     start at full width: an all-zero column's activations start at shape 1
@@ -265,8 +262,6 @@ def init_model(X, K: int, seed: int = 0) -> FactorModel:
         a_scale=a_scale,
         b_shape=b_shape,
         b_scale=b_scale,
-        ctrl_alpha=np.ones((M, K)),
-        ctrl_beta=np.ones((K, T)),
         K=K,
     )
     model.check_invariants()
@@ -372,15 +367,22 @@ def _floored_denominator(denom: np.ndarray, name: str) -> np.ndarray:
     return _floored(denom)
 
 
-def update_control(model: FactorModel) -> FactorModel:
-    """Refresh the closed-form estimates of the prior rates.
+class Control(NamedTuple):
+    """Closed-form estimates of the exponential prior rates at a state."""
+
+    ctrl_alpha: np.ndarray     # M x K
+    ctrl_beta: np.ndarray      # K x T
+
+
+def update_control(model: FactorModel) -> Control:
+    """The closed-form estimates of the prior rates at ``model``'s state.
 
     The basis-rate estimate is the positive root of
     alpha^2 + s_w * alpha - s_w / E(u) = 0 with s_w the activation sum over
     time; the activation rate solves the mirrored equation with s_u the
     basis sum over sources.  The estimates describe the posterior; the
     rates the updates actually use stay at their fixed values so every
-    sweep remains an ascent on the bound.
+    sweep remains an ascent on the bound, and no fit computes them.
     """
     sum_w = model.activations.sum(axis=1)[None, :]  # 1 x K
     e_ctrl = _positive_root(sum_w, sum_w / _floored(model.bases))
@@ -390,11 +392,7 @@ def update_control(model: FactorModel) -> FactorModel:
 
     if not (np.all(np.isfinite(e_ctrl)) and np.all(np.isfinite(f_ctrl))):
         raise NumericalDomainError("control estimate is non-finite")
-    return replace(
-        model,
-        ctrl_alpha=np.maximum(e_ctrl, EPS, out=e_ctrl),
-        ctrl_beta=np.maximum(f_ctrl, EPS, out=f_ctrl),
-    )
+    return Control(np.maximum(e_ctrl, EPS, out=e_ctrl), np.maximum(f_ctrl, EPS, out=f_ctrl))
 
 
 def _positive_root(s, c: np.ndarray) -> np.ndarray:
@@ -485,38 +483,25 @@ def _widen(data: np.ndarray, fill, cols: np.ndarray, T: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Swept:
-    """A fit whose sweeps have ended: ``_finish`` builds its model, and
-    ``result()`` its ``FitResult`` alone.
+    """A fit whose sweeps have ended, unfinished: ``result()`` builds its
+    ``FitResult`` alone.
 
     ``K``, ``iterations``, ``converged`` and ``elbo_trace`` are the fit's
-    record, and ``rate_u`` and ``rate_w`` the prior rates its sweeps read.
-    The activation arrays and ``eta`` hold the data columns
-    ``cols`` of a ``T``-column observation only.  The last sweep's
-    allocation read the basis log means ``eta_bases``, and on the all-zero
-    columns the activation scale ``eta_scale``: the start's after one
-    sweep, the last but one sweep's after more.  No full-width array
-    outlives the sweeps.
+    record.  The activation means hold the data columns ``cols`` of a
+    ``T``-column observation only, and ``b_scale`` is the activation scale,
+    the mean on every other column: no full-width array outlives the
+    sweeps.
     """
 
     K: int
     iterations: int
     converged: bool
     elbo_trace: tuple
-    rate_u: float
-    rate_w: float
     T: int
     cols: np.ndarray
     bases: np.ndarray
-    log_bases: np.ndarray
-    a_shape: np.ndarray
-    a_scale: np.ndarray
     activations: np.ndarray
-    log_activations: np.ndarray
-    b_shape: np.ndarray
     b_scale: np.ndarray
-    eta: np.ndarray
-    eta_bases: np.ndarray
-    eta_scale: np.ndarray
 
     def full_activations(self) -> np.ndarray:
         """The activation means at full width: on each all-zero column,
@@ -575,11 +560,11 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     full-width index.
 
     The sweeps end in an unfinished state on the data columns.  Finishing
-    it builds the full-width model, whose allocation comes from the log
-    means the last sweep started from, and runs the control estimates
-    once, on that final state: no update reads them.  With
-    ``finish=False`` the unfinished state is returned instead, carrying
-    ``K``, ``iterations``, ``converged`` and ``elbo_trace``;
+    it widens the final locals into the full-width model, whose allocation
+    on the all-zero columns comes from the log means the last sweep
+    started from; no control estimates are computed, since no update reads
+    them.  With ``finish=False`` the unfinished state is returned instead,
+    carrying ``K``, ``iterations``, ``converged`` and ``elbo_trace``;
     ``select_order`` passes it, and takes only the kept order's
     ``result()``, whose activations are widened as finishing widens them.
     """
@@ -693,58 +678,24 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
         previous = elbo
 
     swept = _Swept(
-        K=K,
-        iterations=len(trace),
-        converged=converged,
-        elbo_trace=tuple(trace),
-        rate_u=rate_u,
-        rate_w=rate_w,
-        T=T,
-        cols=cols,
-        bases=bases,
-        log_bases=log_bases,
-        a_shape=a_shape,
-        a_scale=a_scale,
-        activations=activations,
-        log_activations=log_activations,
-        b_shape=b_shape,
-        b_scale=b_scale,
-        eta=eta,
-        eta_bases=eta_bases,
-        eta_scale=before,
+        K=K, iterations=len(trace), converged=converged, elbo_trace=tuple(trace),
+        T=T, cols=cols, bases=bases, activations=activations, b_scale=b_scale,
     )
-    return _finish(swept) if finish else swept
-
-
-def _finish(s: _Swept) -> FactorModel:
-    """The full-width model of a swept fit, with its control estimates."""
-    eta, log_activations, b_shape = s.eta, s.log_activations, s.b_shape
-    if s.cols.size < s.T:
-        empty = _eta(s.eta_bases, special.psi(1.0) + np.log(s.eta_scale))
-        eta = _widen(eta, empty, s.cols, s.T)
-        log_activations = _widen(
-            log_activations, special.psi(1.0) + np.log(s.b_scale), s.cols, s.T
-        )
-        b_shape = _widen(b_shape, 1.0, s.cols, s.T)
-    return update_control(FactorModel(
-        bases=s.bases,
-        activations=s.full_activations(),
-        log_bases=s.log_bases,
-        log_activations=log_activations,
-        eta=eta,
-        a_shape=s.a_shape,
-        a_scale=s.a_scale,
-        b_shape=b_shape,
-        b_scale=s.b_scale,
-        ctrl_alpha=None,  # both set by update_control
-        ctrl_beta=None,
-        K=s.K,
-        prior_rate_u=s.rate_u,
-        prior_rate_w=s.rate_w,
-        converged=s.converged,
-        iterations=s.iterations,
-        elbo_trace=s.elbo_trace,
-    ))
+    if not finish:
+        return swept
+    if n0:
+        # the last sweep's allocation on the all-zero columns, from the log
+        # means it started from
+        empty = _eta(eta_bases, special.psi(1.0) + np.log(before))
+        eta = _widen(eta, empty, cols, T)
+        log_activations = _widen(log_activations, special.psi(1.0) + np.log(b_scale), cols, T)
+        b_shape = _widen(b_shape, 1.0, cols, T)
+    return FactorModel(
+        bases=bases, activations=swept.full_activations(), log_bases=log_bases,
+        log_activations=log_activations, eta=eta, a_shape=a_shape, a_scale=a_scale,
+        b_shape=b_shape, b_scale=b_scale, K=K, prior_rate_u=rate_u, prior_rate_w=rate_w,
+        converged=converged, iterations=swept.iterations, elbo_trace=swept.elbo_trace,
+    )
 
 
 def select_order(
@@ -760,8 +711,7 @@ def select_order(
     the argmax and its ``FitResult``; ties resolve toward the smaller K.
     Each fit's sweeps cost time in the columns of X that hold data.  The
     result is ``fit(X, K, ...).result()`` at the kept order and its seed,
-    bit for bit, but no order's full-width model or control estimates are
-    built.  With ``with_trace`` the orders' ``(K, elbo, converged)``
+    bit for bit, but no order's full-width model is built.  With ``with_trace`` the orders' ``(K, elbo, converged)``
     scores come third.
     """
     opts = opts or FitOptions()

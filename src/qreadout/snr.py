@@ -14,7 +14,7 @@ flag instead of forcing them together.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,20 +46,7 @@ class SnrReport:
     no_gain: bool
 
     def to_dict(self) -> dict:
-        return {
-            "S": self.S,
-            "X": self.X,
-            "T": self.T,
-            "r_st": self.r_st,
-            "r_sx": self.r_sx,
-            "delta": self.delta,
-            "snr_out_db": self.snr_out_db,
-            "snr_register_db": self.snr_register_db,
-            "delta_snr_db": self.delta_snr_db,
-            "snr_difference_db": self.snr_difference_db,
-            "chain_consistent": self.chain_consistent,
-            "no_gain": self.no_gain,
-        }
+        return asdict(self)
 
 
 def energy(state) -> float:

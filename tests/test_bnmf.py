@@ -87,11 +87,6 @@ class TestInitModel:
         for arr in (m.bases, m.activations, m.log_bases, m.log_activations):
             assert np.all(np.isfinite(arr))
 
-    def test_control_starts_at_one(self):
-        m = bnmf.init_model(random_matrix(2), 2, seed=0)
-        assert np.all(m.ctrl_alpha == 1.0)
-        assert np.all(m.ctrl_beta == 1.0)
-
     @pytest.mark.parametrize("T", [1, 128, 20000])
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_start_draws_rng_uniform(self, K, T):
@@ -445,8 +440,7 @@ class TestNumericalChecks:
 
 
 def reference_fit(X, K, opts):
-    """The sweep loop rebuilt from the public step functions, with the
-    control estimates refreshed every sweep."""
+    """The sweep loop rebuilt from the public step functions."""
     model = bnmf.init_model(X, K, opts.seed)
     zero_mass = float(np.asarray(X).sum()) == 0.0
     trace, converged, previous = [], False, None
@@ -455,7 +449,6 @@ def reference_fit(X, K, opts):
         model = bnmf.update_variational(model, X)
         elbo = bnmf.lower_bound(model, X)
         trace.append(elbo)
-        model = bnmf.update_control(model)
         if zero_mass:
             converged = True
             break
@@ -575,6 +568,22 @@ class TestFitMatchesStepFunctions:
         assert k_got == k_want
         assert got.bases.tobytes() == want.bases.tobytes()
         assert got.activations[:, cols].tobytes() == want.activations[:, :12].tobytes()
+
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    @pytest.mark.parametrize("empty", [False, True], ids=["data-columns", "empty-columns"])
+    def test_fit_computes_no_control_estimates(self, empty, K, monkeypatch):
+        # no update reads the control estimates, so no fit computes them
+        def refuse(model):
+            raise AssertionError("fit called update_control")
+
+        monkeypatch.setattr(bnmf, "update_control", refuse)
+        X = random_matrix(42, T=40, scale=5.0)
+        if empty:
+            X = zeroed(X, some_columns(42, 40))
+        assert X.any(axis=0).all() != empty
+        for max_iters in (1, 300):
+            m = bnmf.fit(X, K, bnmf.FitOptions(max_iters=max_iters, seed=K))
+            assert m.iterations >= 1
 
     def test_returned_state_is_last_sweep(self):
         for seed in range(5):
