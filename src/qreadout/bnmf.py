@@ -46,6 +46,18 @@ k,
 
 Every item of the first sum is <= 0 (l <= 0) and of the second >= 0
 (s >= 1), so the difference adds terms of one sign and nothing cancels.
+
+At K = 1 the allocation over one basis is exactly 1: the logits less
+their max are exactly 0, and exp(0) / 1 = 1.  So from a fit's second
+sweep on, the expected counts, the shapes, their digammas and log Gammas
+and the bound's elementwise part are the first sweep's, and each later
+sweep is scale-only: s = 1 / (W + r_u), the bases a s, q = 1 / (sum_m of
+the bases + r_w), the activations b q, W = sum_t of the activations (plus
+q per all-zero column), and the bound is the first sweep's elementwise
+part plus the one term per basis.  These are the full sweep's operations
+on the same operands in the same order, with the sums over m and t the
+same numpy reductions over the same arrays, so every value is bit for
+bit the full sweep's.
 """
 
 from __future__ import annotations
@@ -543,10 +555,15 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     bound change drops below ``opts.tol`` or after ``opts.max_iters``
     sweeps; a non-converged model is returned flagged, not raised.  An
     all-zero observation short-circuits after the first sweep since there
-    is no mass to allocate.
+    is no mass to allocate.  At K = 1 every sweep after the first is the
+    scale-only sweep of the module docstring, in plain floats, with one
+    log call for both scales; the final log means are rebuilt once from
+    the shapes' digammas.
 
-    A sweep works in place in buffers allocated once per fit.  Three are
-    M x K x T: the shifted logits, the allocation and the expected counts;
+    A sweep works in place in buffers allocated once per fit, but for the
+    Gamma step's scales, means and log means, which it allocates anew
+    every sweep.  Three buffers are M x K x T: the shifted logits, the
+    allocation and the expected counts;
     the returned model keeps the allocation one.  The counts' sums over t
     and over m share one buffer of M K + K T entries, where one call adds 1
     to make them the basis and activation shapes; a second buffer of that
@@ -620,50 +637,66 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
     converged = False
     previous = None
     for _ in range(opts.max_iters):
-        # this sweep's allocation reads log_bases, and on the empty columns
-        # the log means of the previous activations, whose scale is b_scale
-        eta_bases, before = log_bases, b_scale
+        if K == 1 and trace:
+            # the scale-only sweep of the docstring: at K = 1 the allocation
+            # is 1, so the shapes and the bound's elementwise part are the
+            # first sweep's
+            s = 1.0 / (sum_w.item() + rate_u)
+            bases = np.multiply(a_shape, s)
+            q = 1.0 / (summed(bases, axis=0).item() + rate_w)
+            activations = np.multiply(b_shape, q)
+            sum_w = summed(activations, axis=1)
+            if n0:
+                sum_w += n0 * q
+            log_s, log_q = np.log([s, q]).tolist()
+            c = counts[0]
+            elbo = elementwise + ((log_s + 1.0 - rate_u * s) * (M + c) + (T + c) * log_q)
+        else:
+            # this sweep's allocation reads log_bases, and on the empty
+            # columns the log means of the previous activations, whose scale
+            # is b_scale
+            eta_bases, before = log_bases, b_scale
 
-        # _eta, with the shifted logits kept for the allocation term
-        np.add(log_bases[:, :, None], log_activations, out=logits)
-        logits -= peak(logits, axis=1, out=over_k, keepdims=True)
-        np.exp(logits, out=eta)
-        eta /= summed(eta, axis=1, out=over_k, keepdims=True)
+            # _eta, with the shifted logits kept for the allocation term
+            np.add(log_bases[:, :, None], log_activations, out=logits)
+            logits -= peak(logits, axis=1, out=over_k, keepdims=True)
+            np.exp(logits, out=eta)
+            eta /= summed(eta, axis=1, out=over_k, keepdims=True)
 
-        # the expected counts of update_variational and lower_bound, and
-        # their sums over t and m
-        np.multiply(x, eta, out=e_kappa)
-        summed(e_kappa, axis=2, out=a_shape)
-        summed(e_kappa, axis=0, out=b_shape)
-        counts = dot(ones_m, a_shape).tolist()  # c_k, for the bound
+            # the expected counts of update_variational and lower_bound, and
+            # their sums over t and m
+            np.multiply(x, eta, out=e_kappa)
+            summed(e_kappa, axis=2, out=a_shape)
+            summed(e_kappa, axis=0, out=b_shape)
+            counts = dot(ones_m, a_shape).tolist()  # c_k, for the bound
 
-        # update_variational.  Each denominator is a sum of the fit's Gamma
-        # means plus a rate of 1, so its floor can never apply here
-        shapes += 1.0
-        special.psi(shapes, out=gammas)
-        a_scale = np.reciprocal(np.add(sum_w[None, :], rate_u))
-        a_log_scale = np.log(a_scale)
-        bases = np.multiply(a_shape, a_scale)
-        log_bases = np.add(a_psi, a_log_scale)
-        b_scale = np.reciprocal(np.add(summed(bases, axis=0)[:, None], rate_w))
-        b_log_scale = np.log(b_scale)
-        activations = np.multiply(b_shape, b_scale)
-        log_activations = np.add(b_psi, b_log_scale)
-        sum_w = summed(activations, axis=1)
-        if n0:
-            sum_w += n0 * b_scale[:, 0]
+            # update_variational.  Each denominator is a sum of the fit's
+            # Gamma means plus a rate of 1, so its floor can never apply here
+            shapes += 1.0
+            special.psi(shapes, out=gammas)
+            a_scale = np.reciprocal(np.add(sum_w[None, :], rate_u))
+            a_log_scale = np.log(a_scale)
+            bases = np.multiply(a_shape, a_scale)
+            log_bases = np.add(a_psi, a_log_scale)
+            b_scale = np.reciprocal(np.add(summed(bases, axis=0)[:, None], rate_w))
+            b_log_scale = np.log(b_scale)
+            activations = np.multiply(b_shape, b_scale)
+            log_activations = np.add(b_psi, b_log_scale)
+            sum_w = summed(activations, axis=1)
+            if n0:
+                sum_w += n0 * b_scale[:, 0]
 
-        # lower_bound, collapsed (see the module docstring): the
-        # allocation term less the log Gamma sums, then one term per basis
-        # in plain floats.  An all-zero column's b is 1, so its log Gamma
-        # is 0 and it counts in T alone
-        np.log(over_k, out=over_k)
-        special.gammaln(shapes, out=gammas)
-        elbo = fixed - float(dot(weights, terms))
-        for c, s, log_s, log_q in zip(
-            counts, a_scale.tolist()[0], a_log_scale.tolist()[0], b_log_scale.T.tolist()[0]
-        ):
-            elbo += (log_s + 1.0 - rate_u * s) * (M + c) + (T + c) * log_q
+            # lower_bound, collapsed (see the module docstring): the
+            # allocation term less the log Gamma sums, then one term per
+            # basis in plain floats.  An all-zero column's b is 1, so its
+            # log Gamma is 0 and it counts in T alone
+            np.log(over_k, out=over_k)
+            special.gammaln(shapes, out=gammas)
+            elbo = elementwise = fixed - float(dot(weights, terms))
+            for c, s, log_s, log_q in zip(
+                counts, a_scale.tolist()[0], a_log_scale.tolist()[0], b_log_scale.T.tolist()[0]
+            ):
+                elbo += (log_s + 1.0 - rate_u * s) * (M + c) + (T + c) * log_q
         if not math.isfinite(elbo):
             raise _bound_error()
 
@@ -677,6 +710,14 @@ def fit(X, K: int, opts: FitOptions | None = None, *, finish: bool = True):
                 break
         previous = elbo
 
+    if K == 1 and len(trace) > 1:
+        # the scale-only sweeps keep their scales as floats and no log
+        # means; gammas holds log Gammas, so the digammas are taken again.
+        # At K = 1 any finite log means give the allocation 1
+        a_scale, b_scale = np.full((1, 1), s), np.full((1, 1), q)
+        special.psi(shapes, out=gammas)
+        log_bases, log_activations = np.add(a_psi, log_s), np.add(b_psi, log_q)
+        eta_bases, before = log_bases, b_scale
     swept = _Swept(
         K=K, iterations=len(trace), converged=converged, elbo_trace=tuple(trace),
         T=T, cols=cols, bases=bases, activations=activations, b_scale=b_scale,
@@ -711,8 +752,8 @@ def select_order(
     the argmax and its ``FitResult``; ties resolve toward the smaller K.
     Each fit's sweeps cost time in the columns of X that hold data.  The
     result is ``fit(X, K, ...).result()`` at the kept order and its seed,
-    bit for bit, but no order's full-width model is built.  With ``with_trace`` the orders' ``(K, elbo, converged)``
-    scores come third.
+    bit for bit, but no order's full-width model is built.  With
+    ``with_trace`` the orders' ``(K, elbo, converged)`` scores come third.
     """
     opts = opts or FitOptions()
     if not 1 <= k_min <= k_max:

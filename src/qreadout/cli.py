@@ -410,18 +410,20 @@ def true_target_bases(model: bnmf.FitResult, gt: register.GroundTruth) -> list[i
     """Bases whose activation profile tracks the planted target row.
 
     A basis belongs to the target when its activation series correlates at
-    least as well with the target row as with the residual row; an all-zero
-    reference row never claims a basis.
+    least as well with the target row as with the residual row.  A pair
+    with a constant row, source or activation, has no correlation and
+    scores -inf, so it never wins over a pair that has one; a basis with
+    no such pair falls to the target, as every tie does.  Each row's
+    spread is taken once.
     """
+    varied = [np.std(row) != 0.0 for row in gt.source_rows]
     labels = []
-    for k in range(model.K):
-        act = model.activations[k]
-        corrs = []
-        for row in gt.source_rows:
-            if np.std(row) == 0.0 or np.std(act) == 0.0:
-                corrs.append(-np.inf)
-                continue
-            corrs.append(float(np.corrcoef(act, row)[0, 1]))
+    for act in model.activations:
+        corrs = [-np.inf] * len(varied)
+        if np.std(act) != 0.0:
+            for i, row in enumerate(gt.source_rows):
+                if varied[i]:
+                    corrs[i] = float(np.corrcoef(act, row)[0, 1])
         labels.append(int(np.argmax(corrs)))
     return [k for k, m in enumerate(labels) if m == 0]
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import re
 import tracemalloc
@@ -462,6 +463,24 @@ def reference_fit(X, K, opts):
     )
 
 
+def assert_matches_reference(
+    got, want, X, names=bnmf.FactorModel._ARRAY_FIELDS, bound_rtol=1e-12
+):
+    """``test_bit_identical``'s comparison of a fit with ``reference_fit``."""
+    assert got.iterations == want.iterations
+    assert got.converged == want.converged
+    np.testing.assert_allclose(got.elbo_trace, want.elbo_trace, rtol=bound_rtol, atol=0)
+    close = {"rtol": 1e-12, "atol": 0}
+    if not X.any(axis=0).all():
+        for name in names:
+            np.testing.assert_allclose(
+                getattr(got, name), getattr(want, name), err_msg=name, **close
+            )
+        return
+    for name in names:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+
+
 class TestFitMatchesStepFunctions:
     CASES = [
         (random_matrix(seed, M=M, T=T, scale=scale), K, opts)
@@ -507,19 +526,7 @@ class TestFitMatchesStepFunctions:
         moves the last bits of the sums over time: the same sweeps, and
         every value within 1e-12 relative.  The bound is the collapsed
         form, equal to ``lower_bound`` within 1e-12 relative in every case."""
-        got, want = bnmf.fit(X, K, opts), reference_fit(X, K, opts)
-        assert got.iterations == want.iterations
-        assert got.converged == want.converged
-        close = {"rtol": 1e-12, "atol": 0}
-        np.testing.assert_allclose(got.elbo_trace, want.elbo_trace, **close)
-        if not X.any(axis=0).all():
-            for name in bnmf.FactorModel._ARRAY_FIELDS:
-                np.testing.assert_allclose(
-                    getattr(got, name), getattr(want, name), err_msg=name, **close
-                )
-            return
-        for name in bnmf.FactorModel._ARRAY_FIELDS:
-            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert_matches_reference(bnmf.fit(X, K, opts), reference_fit(X, K, opts), X)
 
     @pytest.mark.parametrize("K", [1, 2, 4])
     def test_empty_columns_give_a_valid_model(self, K):
@@ -590,6 +597,58 @@ class TestFitMatchesStepFunctions:
             X = random_matrix(seed, T=24, scale=5.0)
             m = bnmf.fit(X, 2, bnmf.FitOptions(max_iters=40, tol=1e-9, seed=seed))
             assert bnmf.lower_bound(m, X) == pytest.approx(m.elbo_trace[-1], rel=1e-12)
+
+
+class TestScaleOnlySweep:
+    """At K = 1 the allocation is exactly 1, so every sweep after the first
+    updates the two Gamma scales alone; its outputs are the full sweep's."""
+
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 300])
+    @pytest.mark.parametrize("scale", [0.5, 20.0, 1e4])
+    @pytest.mark.parametrize("empty", [False, True], ids=["data-columns", "empty-columns"])
+    @pytest.mark.parametrize("M", [1, 2, 3, 12])
+    def test_matches_reference_fit(self, M, empty, scale, max_iters):
+        X = random_matrix(90 + M, M=M, T=40, scale=scale)
+        if empty:
+            X = zeroed(X, some_columns(90 + M, 40))
+        assert X.any(axis=0).all() != empty
+        opts = bnmf.FitOptions(max_iters=max_iters, tol=1e-12, seed=M)
+        got, want = bnmf.fit(X, 1, opts), reference_fit(X, 1, opts)
+        # at scale 1e4 the bound's terms cancel to a few parts in 1e13: the
+        # fit's last bound and lower_bound's sit up to 6.4e-13 and 5.6e-13
+        # from mp_lower_bound's here, and their traces up to 1.0e-12 apart
+        bound_rtol = 1e-11 if scale >= 1e4 else 1e-12
+        assert_matches_reference(got, want, X, bound_rtol=bound_rtol)
+        unfinished = bnmf.fit(X, 1, opts, finish=False).result()
+        assert_matches_reference(
+            unfinished, want.result(), X, ("bases", "activations"), bound_rtol
+        )
+        # the finished state is the Gamma means and log means of its own
+        # shapes and scales, bit for bit, also with all-zero columns
+        assert (got.eta == 1.0).all()
+        assert np.array_equal(got.bases, got.a_shape * got.a_scale)
+        assert np.array_equal(got.activations, got.b_shape * got.b_scale)
+        assert np.array_equal(got.log_bases, special.psi(got.a_shape) + np.log(got.a_scale))
+        assert np.array_equal(
+            got.log_activations, special.psi(got.b_shape) + np.log(got.b_scale)
+        )
+
+    def test_digamma_and_log_gamma_calls_do_not_grow_with_sweeps(self, monkeypatch):
+        calls = {}
+        for name in ("psi", "gammaln"):
+            def counted(*args, _f=getattr(special, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _f(*args, **kwargs)
+
+            monkeypatch.setattr(special, name, counted)
+        X = zeroed(random_matrix(95, M=3, T=40, scale=1e3), (slice(None), [4, 17]))
+        seen = []
+        for sweeps in (5, 50):
+            calls.update(psi=0, gammaln=0)
+            m = bnmf.fit(X, 1, bnmf.FitOptions(max_iters=sweeps, tol=1e-15, seed=1))
+            assert (m.iterations, m.converged) == (sweeps, False)
+            seen.append(dict(calls))
+        assert seen[0] == seen[1] and all(seen[0].values())
 
 
 def mp_lower_bound(m, X) -> mpmath.mpf:
@@ -668,8 +727,8 @@ class TestCollapsedBound:
         # carries them, so lower_bound scores it as the sweeps did
         monkeypatch.setattr(bnmf.FactorModel, "prior_rate_u", rate_u)
         monkeypatch.setattr(bnmf.FactorModel, "prior_rate_w", rate_w)
-        for max_iters in (1, 300):
-            m = bnmf.fit(X, 2, bnmf.FitOptions(max_iters=max_iters, tol=1e-9, seed=3))
+        for K, max_iters in itertools.product((1, 2), (1, 300)):
+            m = bnmf.fit(X, K, bnmf.FitOptions(max_iters=max_iters, tol=1e-9, seed=3))
             assert (m.prior_rate_u, m.prior_rate_w) == (rate_u, rate_w)
             assert m.elbo_trace[-1] == pytest.approx(bnmf.lower_bound(m, X), rel=1e-12)
 

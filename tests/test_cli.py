@@ -270,6 +270,63 @@ BAD_ENTRIES = [
 ]
 
 
+def per_pair_target_bases(model, gt):
+    """``cli.true_target_bases`` with each row's spread taken anew per pair."""
+    labels = []
+    for k in range(model.K):
+        act = model.activations[k]
+        corrs = []
+        for row in gt.source_rows:
+            if np.std(row) == 0.0 or np.std(act) == 0.0:
+                corrs.append(-np.inf)
+                continue
+            corrs.append(float(np.corrcoef(act, row)[0, 1]))
+        labels.append(int(np.argmax(corrs)))
+    return [k for k, m in enumerate(labels) if m == 0]
+
+
+def target_bases(activations, rows):
+    model = bnmf.FitResult(
+        bases=np.ones((2, len(activations))), activations=activations,
+        K=len(activations), converged=True, iterations=1, elbo_trace=(0.0,),
+    )
+    gt = register.GroundTruth(
+        source_rows=rows, input_weights=np.ones(1), residual_weights=np.zeros(1)
+    )
+    return cli.true_target_bases(model, gt), per_pair_target_bases(model, gt)
+
+
+class TestTrueTargetBases:
+    def test_a_constant_source_row_claims_no_basis(self):
+        rng = np.random.default_rng(60)
+        acts, varied = rng.random((3, 16)), rng.random(16)
+        for fill in (0.0, 2.5):
+            constant = np.full(16, fill)
+            assert target_bases(acts, np.vstack([constant, varied])) == ([], [])
+            assert target_bases(acts, np.vstack([varied, constant])) == ([0, 1, 2],) * 2
+
+    def test_a_constant_activation_row_correlates_with_no_source_row(self):
+        # its basis scores -inf against both rows and falls to the target,
+        # as a tie does, wherever the rows point
+        rng = np.random.default_rng(61)
+        acts = rng.random((3, 16))
+        acts[1] = 0.75
+        for rows in (acts[[0, 2]], acts[[2, 0]]):
+            got, _ = target_bases(acts, rows)
+            assert 1 in got and (0 in got) != (2 in got)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_equals_the_per_pair_version(self, seed):
+        rng = np.random.default_rng(seed)
+        K, T = int(rng.integers(1, 6)), int(rng.integers(2, 40))
+        acts = rng.random((K, T)) * 10.0 ** rng.integers(-3, 5)
+        rows = rng.random((2, T))
+        acts[rng.random(K) < 0.25] = rng.random()
+        rows[rng.random(2) < 0.25] = rng.choice([0.0, 1.5])
+        got, want = target_bases(acts, rows)
+        assert got == want
+
+
 SWEEP = {"r_sx": 1.0, "deltas": [1, 2.5, 4]}
 
 
